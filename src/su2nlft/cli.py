@@ -26,11 +26,13 @@ from .core import (
     NlftPair,
     pair_from_sequences,
     sobolev_norm,
+    star_reflect,
     weighted_l1_norm,
 )
 from .errors import DeterminantError, NlftError, NumericalError, ValidationError
 from .forward import nlft_forward
 from .inverse import inverse_nlft_detailed, layer_strip_detailed
+from .spectral import require_outer
 from .verify import decay_table, run_pair_checks, run_suite
 
 PAIR_VALIDATION_TOL = 1e-6
@@ -50,6 +52,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# JSON true/false load as bool, a subclass of int; neither counts as a number
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass
 class Config:
     grid_size: int | str = "auto"
@@ -62,8 +73,11 @@ class Config:
 
     def validate(self) -> None:
         for name in ("szego_margin", "solver_tol", "round_trip_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"config: {name} must be positive")
+            val = getattr(self, name)
+            if not _is_number(val) or val <= 0:
+                raise ValidationError(f"config: {name} must be a positive number")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValidationError("config: seed must be a non-negative integer")
         if self.grid_size != "auto":
             n = self.grid_size
             if not isinstance(n, int) or n < 4 or n & (n - 1):
@@ -72,6 +86,8 @@ class Config:
                     f" got {n!r}"
                 )
         if self.weight is not None:
+            if not isinstance(self.weight, str):
+                raise ValidationError("config: weight must be a descriptor string")
             BeurlingWeight.from_descriptor(self.weight)
 
     @property
@@ -101,7 +117,13 @@ class Config:
             if key not in known:
                 raise ValidationError(f"NLFT_CONFIG: unknown key {key!r}")
             if key == "window" and val is not None:
-                val = (int(val[0]), int(val[1]))
+                if (not isinstance(val, list) or len(val) != 2
+                        or not all(_is_int(v) for v in val) or val[1] < val[0]):
+                    raise ValidationError(
+                        f"NLFT_CONFIG: window must be [lo, hi] integers with "
+                        f"lo <= hi, got {val!r}"
+                    )
+                val = tuple(val)
             setattr(cfg, key, val)
         cfg.validate()
         return cfg
@@ -149,7 +171,7 @@ def _sequence_from_obj(obj) -> CoefficientSequence:
     values = []
     for item in coeffs:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, (int, float)) for v in item)):
+                or not all(_is_number(v) for v in item)):
             raise ValidationError(f"bad coefficient entry {item!r}")
         values.append(complex(item[0], item[1]))
     if support is None:
@@ -157,7 +179,7 @@ def _sequence_from_obj(obj) -> CoefficientSequence:
             raise ValidationError("null support with nonempty coeffs")
         return CoefficientSequence.empty()
     if (not isinstance(support, list) or len(support) != 2
-            or not all(isinstance(v, int) for v in support)):
+            or not all(_is_int(v) for v in support)):
         raise ValidationError(f"bad support {support!r}")
     lo, hi = support
     if hi - lo + 1 != len(values):
@@ -173,7 +195,7 @@ def _pair_from_obj(obj) -> NlftPair:
         raise ValidationError(
             'pair object must have exactly the keys "a", "b", "grid_residual"'
         )
-    if not isinstance(obj["grid_residual"], (int, float)):
+    if not _is_number(obj["grid_residual"]):
         raise ValidationError("grid_residual must be a number")
     return NlftPair(
         a=_sequence_from_obj(obj["a"]),
@@ -259,7 +281,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, help="solver tolerance")
     p.add_argument("--imaginary", action="store_true",
                    help="require the recovered entries to be purely imaginary")
-    p.add_argument("--csv", help="write per-index solver convergence CSV")
+    p.add_argument("--csv", help="write per-index solver residual CSV")
     common(p)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -332,6 +354,7 @@ def cmd_inverse(args, cfg: Config) -> int:
                 f"supplied pair has determinant residual "
                 f"{pair.grid_residual:.3e} > {PAIR_VALIDATION_TOL:.1e}"
             )
+        require_outer(star_reflect(a))
         F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol,
                                           n_points=cfg.n_points)
         diff = nlft_forward(F, cfg.n_points).b - b
@@ -350,6 +373,10 @@ def cmd_inverse(args, cfg: Config) -> int:
     max_res = max((r.residual for r in records), default=0.0)
     _diag(f"round_trip_residual = {round_trip:.3e}", to_stdout)
     _diag(f"max_solver_residual = {max_res:.3e}", to_stdout)
+    if round_trip > cfg.round_trip_tol:
+        _diag(f"round trip missed: {round_trip:.3e} > {cfg.round_trip_tol:.1e}",
+              to_stdout)
+        return 2
     if args.imaginary and not F.is_empty:
         worst = float(np.max(np.abs(np.real(F.coeffs))))
         if worst > cfg.round_trip_tol:

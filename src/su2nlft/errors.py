@@ -44,7 +44,7 @@ class OuternessError(NumericalError):
 
 
 class ConvergenceError(NumericalError):
-    """Krylov solver failed to reach tolerance within the iteration cap."""
+    """A solve's residual exceeds the requested tolerance."""
 
 
 class ConsistencyError(NumericalError):

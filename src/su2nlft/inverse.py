@@ -11,8 +11,18 @@ or, with ``x = (A, B) = a_n*(0) (a_n*, b_n)`` renormalized,
     M = [[0, P_+ (b*/a) P_{<=n}], [-P_{<=n} (b/a*) P_+, 0]].
 
 ``M`` is skew-adjoint, so ``Id + M`` has spectrum on ``1 + iR`` and the
-inverse is a 2-norm contraction; a matrix-free Krylov iteration on
-windowed coefficient vectors solves each system.  The potential is then
+inverse is a 2-norm contraction.  Since ``b/a*`` has no coefficients
+below ``lo = lo(b)``, ``B`` lives on ``[lo, n]`` and ``A - 1`` on
+``[0, n - lo]``.  With ``T`` the lower-triangular Toeplitz matrix of the
+coefficients ``c`` of ``b/a*`` on ``[lo, n]``, the two block rows read
+``A = e_0 - T^H B`` and ``B = T A``; eliminating ``A`` leaves
+
+    (I + T T^H) B = c.
+
+The matrix for index ``n`` is the leading principal block of the one
+for the largest index, so one Cholesky factorization ``L L^H`` and one
+triangular solve ``y = L^{-1} c`` serve every index:
+``B = L_m^{-H} y[:m]`` with ``m = n - lo + 1``.  The potential is then
 read off one index at a time:
 
     F_n = b_n^(n) / a_n*(0)
@@ -29,13 +39,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
     _eval_samples,
+    _window_coeffs,
     default_grid_size,
     star_reflect,
     weighted_l1_norm,
@@ -70,7 +80,6 @@ __all__ = [
 ]
 
 DEFAULT_SOLVER_TOL = 1e-12
-MAX_RESTART_CYCLES = 10  # total Krylov steps capped at 10x the window size
 IMAG_TOL = 1e-10  # allowed imaginary leakage in the leading solution entry
 
 
@@ -87,14 +96,19 @@ def solver_grid_size(bandwidth: int, b_width: int) -> int:
     return n
 
 
+def _b_lo(pair: NlftPair) -> int:
+    return pair.b.support_lo if not pair.b.is_empty else 0
+
+
 @dataclass(eq=False)
 class RhSystem:
     """Truncated Riemann-Hilbert system at one truncation index.
 
     Immutable after construction.  ``sym_b_over_astar`` and
     ``sym_bstar_over_a`` are grid samples of the symbols appearing in the
-    two blocks of ``M``; the unknowns live on the coefficient windows
-    ``[0, bandwidth)`` and ``(n - bandwidth, n]``.
+    two blocks of ``M``.  ``apply_m`` acts on the coefficient windows
+    ``[0, bandwidth)`` and ``(n - bandwidth, n]``; ``rh_solve`` reads
+    only ``sym_b_over_astar``.
     """
 
     pair: NlftPair
@@ -133,7 +147,7 @@ class RhSystem:
         min_modulus: float = 1e-6,
     ) -> "RhSystem":
         """Assemble the system for one truncation index of a validated pair."""
-        b_lo = pair.b.support_lo if not pair.b.is_empty else 0
+        b_lo = _b_lo(pair)
         b_width = pair.b.width
         if bandwidth is None:
             bandwidth = default_bandwidth(max(n - b_lo + 1, 1), b_width)
@@ -205,62 +219,92 @@ class RhSolution:
     reflected: bool = False
 
 
-def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
-    """Solve ``(Id + M) x = (1, 0)`` and denormalize.
+def _solve_truncations(
+    t: np.ndarray,
+    b_lo: int,
+    indices: list[int],
+    tol: float,
+    reflected: bool = False,
+) -> list[RhSolution]:
+    """Solve the truncated systems of every index from one factorization.
 
-    Full-memory GMRES with relative residual ``tol``; the iteration cap
-    is ``10x`` the window dimension.  Raises ``ConvergenceError`` if the
-    cap is hit and ``ConsistencyError`` if the leading entry of the
-    solution (which equals ``a_n*(0)^2``) is not a positive real within
-    tolerance.
+    ``t`` holds grid samples of ``b/a*`` and ``b_lo`` is the lowest index
+    of ``b``.  Index ``n`` keeps the leading ``m = n - b_lo + 1``
+    unknowns of ``B``; ``m <= 0`` is the trivial solution ``x = (1, 0)``.
     """
-    w = sys.bandwidth
-    dim = 2 * w
-    rhs = np.zeros(dim, dtype=np.complex128)
-    rhs[0] = 1.0
-
-    def matvec(x):
-        y1, y2 = _apply_m_vec(sys, x[:w], x[w:])
-        out = np.asarray(x, dtype=np.complex128).copy()
-        out[:w] += y1
-        out[w:] += y2
-        return out
-
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
-    x, info = gmres(op, rhs, rtol=tol, atol=0.0, restart=dim,
-                    maxiter=MAX_RESTART_CYCLES)
-    if info != 0:
-        raise ConvergenceError(
-            f"no convergence to {tol:.1e} within {MAX_RESTART_CYCLES * dim} "
-            f"Krylov steps at truncation {sys.n}"
-        )
-    residual = float(np.linalg.norm(matvec(x) - rhs))
-    sol_norm = float(np.linalg.norm(x))
-
-    leading = x[0]
-    if abs(leading.imag) > IMAG_TOL or leading.real <= 0.0:
+    size = max(max(indices) - b_lo + 1, 1)
+    c = _window_coeffs(t, b_lo, b_lo + size - 1)
+    k = np.arange(size)
+    lag = k[:, None] - k[None, :]
+    T = np.where(lag >= 0, c[lag % size], 0.0)
+    try:
+        L = np.linalg.cholesky(np.eye(size) + T @ T.conj().T)
+    except np.linalg.LinAlgError as exc:
         raise ConsistencyError(
-            f"leading solution entry {leading!r} is not a positive real"
-        )
-    a_star_zero = math.sqrt(leading.real)
+            f"I + T T^H of size {size} is not numerically positive definite"
+        ) from exc
+    L_inv = np.tril(np.linalg.inv(L))
+    y = L_inv @ c
+    # column m of X2 is L_m^{-H} y[:m], the solution of the m x m block
+    X2 = np.zeros((size, size + 1), dtype=np.complex128)
+    X2[:, 1:] = np.cumsum(L_inv.conj().T * y, axis=1)
+    m = np.clip(np.asarray(indices) - b_lo + 1, 0, None)
+    X2 = X2[:, m]
+    X1 = -(T.conj().T @ X2)
+    X1[0] += 1.0
+    # the first block row holds by construction; the second is B = T A
+    active = k[:, None] < m[None, :]
+    residuals = np.linalg.norm(np.where(active, X2 - T @ X1, 0.0), axis=0)
+    sol_norms = np.hypot(np.linalg.norm(X1, axis=0), np.linalg.norm(X2, axis=0))
 
-    lo1, hi1 = sys.window_plus
-    lo2, hi2 = sys.window_low
-    tilde_a_star = CoefficientSequence(lo1, hi1, x[:w]).clamp(CLAMP_TOL)
-    tilde_b = CoefficientSequence(lo2, hi2, x[w:]).clamp(CLAMP_TOL)
-    a_n = star_reflect(tilde_a_star.scale(1.0 / a_star_zero))
-    b_n = tilde_b.scale(1.0 / a_star_zero)
-    return RhSolution(
-        n=sys.n,
-        a=a_n,
-        b=b_n,
-        a_star_zero=a_star_zero,
-        tilde_a_star=tilde_a_star,
-        tilde_b=tilde_b,
-        residual=residual,
-        solution_norm=sol_norm,
-        rhs_norm=1.0,
-    )
+    out = []
+    for j, n in enumerate(indices):
+        residual = float(residuals[j])
+        if not residual <= tol:
+            raise ConvergenceError(
+                f"residual {residual:.3e} exceeds {tol:.1e} at truncation {n}"
+            )
+        leading = X1[0, j]
+        if abs(leading.imag) > IMAG_TOL or leading.real <= 0.0:
+            raise ConsistencyError(
+                f"leading solution entry {leading!r} is not a positive real"
+            )
+        a_star_zero = math.sqrt(leading.real)
+        # rows at and beyond m are exact zeros, which clamp trims away
+        tilde_a_star = CoefficientSequence(0, size - 1, X1[:, j]).clamp(CLAMP_TOL)
+        tilde_b = CoefficientSequence(b_lo, b_lo + size - 1,
+                                      X2[:, j]).clamp(CLAMP_TOL)
+        out.append(RhSolution(
+            n=n,
+            a=star_reflect(tilde_a_star.scale(1.0 / a_star_zero)),
+            b=tilde_b.scale(1.0 / a_star_zero),
+            a_star_zero=a_star_zero,
+            tilde_a_star=tilde_a_star,
+            tilde_b=tilde_b,
+            residual=residual,
+            solution_norm=float(sol_norms[j]),
+            rhs_norm=1.0,
+            reflected=reflected,
+        ))
+    return out
+
+
+def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
+    """Solve ``(Id + M) x = (1, 0)`` at ``sys.n`` and denormalize.
+
+    The solve is the dense reduction ``(I + T T^H) B = c`` (see the
+    module docstring), factored by Cholesky from the coefficients of
+    ``sys.sym_b_over_astar``; layer stripping runs the same routine for
+    all of its indices at once.  ``residual`` is the exact 2-norm
+    residual of the truncated system.
+
+    Raises ``ConvergenceError`` if that residual exceeds ``tol``, and
+    ``ConsistencyError`` if the factorization fails or the leading entry
+    of the solution (which equals ``a_n*(0)^2``) is not a positive real
+    within tolerance.
+    """
+    return _solve_truncations(sys.sym_b_over_astar, _b_lo(sys.pair),
+                              [sys.n], tol)[0]
 
 
 def reflect_pair(pair: NlftPair) -> NlftPair:
@@ -284,31 +328,12 @@ def _strip_ascending(
     min_modulus: float,
     reflected: bool,
 ) -> list[RhSolution]:
-    """One rh_solve per index, sharing the cached symbol grids."""
+    """Every index from one factorization, on the grid of the largest."""
     if not indices:
         return []
-    b_lo = pair.b.support_lo if not pair.b.is_empty else 0
-    b_width = pair.b.width
-    if bandwidth is None:
-        bandwidth = default_bandwidth(max(indices) - min(indices) + 1, b_width)
-    bandwidth = max(bandwidth, max(indices) - b_lo + 2, b_width + 1, 1)
-    if n_points is None:
-        n_points = solver_grid_size(bandwidth, b_width)
-    av = _eval_samples(pair.a, n_points)
-    small = float(np.min(np.abs(av)))
-    if small < min_modulus:
-        raise VanishingSymbolError(
-            f"min |a| = {small:.3e} < {min_modulus:.3e} on the grid"
-        )
-    t = _eval_samples(pair.b, n_points) / np.conj(av)
-    s = np.conj(t)
-    out = []
-    for n in indices:
-        sys = RhSystem(pair, n, n_points, bandwidth, t, s)
-        sol = rh_solve(sys, tol)
-        sol.reflected = reflected
-        out.append(sol)
-    return out
+    sys = RhSystem.build(pair, max(indices), n_points, bandwidth, min_modulus)
+    return _solve_truncations(sys.sym_b_over_astar, _b_lo(pair), indices,
+                              tol, reflected)
 
 
 def layer_strip_detailed(

@@ -170,6 +170,16 @@ def outer_complement(
             f"{residual:.3e}; increase the grid or the coefficient window"
         )
 
+    require_outer(astar)
+    return NlftPair(star_reflect(astar), b, residual)
+
+
+def require_outer(astar: CoefficientSequence) -> None:
+    """Raise ``OuternessError`` if ``astar`` winds on ``|z| = 0.999``.
+
+    Winding counts zeros of ``a*`` inside the disk; layer stripping
+    assumes there are none.
+    """
     n_wind = max(WINDING_OVERSAMPLE * default_grid_size(astar.width),
                  WINDING_OVERSAMPLE * (astar.support_hi + 1))
     wn = winding_number(astar, n_wind)
@@ -177,9 +187,6 @@ def outer_complement(
         raise OuternessError(
             f"spectral factor winds {wn} times on |z| = {WINDING_RADIUS}"
         )
-
-    a = star_reflect(astar)
-    return NlftPair(a, b, residual)
 
 
 def grid_quotient(

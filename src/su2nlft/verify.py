@@ -237,12 +237,25 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
 def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
                      pair: NlftPair | None = None,
                      tol: float = SINH_TOL) -> CheckRecord:
-    """``||b||_{A_w} <= sinh(||F||_{l1_w})``; margin must be >= -tol."""
+    """``||b||_{A_w} <= sinh(||F||_{l1_w})``; margin must be >= -tol.
+
+    When ``sinh`` overflows the bound is vacuous: it passes for any
+    finite lhs and records no rhs or margin.
+    """
     if pair is None:
         pair = nlft_forward(F)
     lhs = weighted_l1_norm(pair.b, w)
-    rhs = math.sinh(weighted_l1_norm(F, w))
-    margin = rhs - lhs
+    norm = weighted_l1_norm(F, w)
+    try:
+        rhs = math.sinh(norm)
+    except OverflowError:
+        rhs = margin = None
+        passed = math.isfinite(lhs)
+        detail = f"bound vacuous: ||F||_l1_w = {norm:.6g}"
+    else:
+        margin = rhs - lhs
+        passed = margin >= -tol
+        detail = ""
     return CheckRecord(
         name="sinh_bound",
         anchor="sinh_norm_bound",
@@ -250,9 +263,10 @@ def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
         lhs=lhs,
         rhs=rhs,
         value=margin,
-        passed=margin >= -tol,
+        passed=passed,
         tolerance=tol,
         weight=w.descriptor,
+        detail=detail,
     )
 
 

@@ -182,6 +182,43 @@ class TestInverse:
             assert float(r[1]) < 1e-10
             assert float(r[2]) > 0 and float(r[3]) > 0
 
+    def test_supplied_a_with_zero_in_disk_exits_two(self, tmp_path, capsys):
+        # a*(z) is proportional to 1 - 4z: stripping would answer wrongly
+        pair = nlft_forward(CoefficientSequence.from_dict({0: 2.0, 1: 2.0}))
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(sequence_to_json(pair.a))
+        b.write_text(sequence_to_json(pair.b))
+        assert main(["inverse", "--b", str(b), "--a", str(a),
+                     "--support", "0..1"]) == 2
+        assert "winds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_a", [False, True])
+    def test_missed_round_trip_exits_two(self, tmp_path, capsys, with_a):
+        # the window drops F_1, so forward(F) cannot reproduce b
+        pair = nlft_forward(CoefficientSequence.from_dict(TWO_POINT))
+        b = tmp_path / "b.json"
+        b.write_text(sequence_to_json(pair.b))
+        argv = ["inverse", "--b", str(b), "--support", "0..0"]
+        if with_a:
+            a = tmp_path / "a.json"
+            a.write_text(sequence_to_json(pair.a))
+            argv += ["--a", str(a)]
+        assert main(argv) == 2
+        assert "round trip missed" in capsys.readouterr().err
+
+    def test_factorization_failure_exits_two(self, tmp_path, monkeypatch,
+                                             capsys):
+        def fail(_):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        pair = nlft_forward(CoefficientSequence.from_dict(TWO_POINT))
+        b = tmp_path / "b.json"
+        b.write_text(sequence_to_json(pair.b))
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        assert main(["inverse", "--b", str(b), "--support", "0..1"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_sequence_input_passes(self, tmp_path, capsys):
@@ -308,3 +345,32 @@ class TestEnvConfig:
         inp = write_seq(tmp_path / "f.json", TWO_POINT)
         assert main(["forward", "--input", inp, "--grid", "256",
                      "--out", str(tmp_path / "p.json")]) == 0
+
+    def test_short_window_rejected(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"window": [1]}')
+        monkeypatch.setenv("NLFT_CONFIG", str(cfg))
+        b = write_seq(tmp_path / "b.json", {0: 0.3})
+        assert main(["inverse", "--b", b]) == 1
+
+    @pytest.mark.parametrize("text", ['{"solver_tol": "x"}', '{"seed": -1}',
+                                      '{"weight": 5}'])
+    def test_bad_config_value_rejected(self, tmp_path, monkeypatch, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        monkeypatch.setenv("NLFT_CONFIG", str(cfg))
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        assert main(["verify", "--input", inp]) == 1
+
+
+class TestJsonBooleans:
+    def test_boolean_support_rejected(self, tmp_path):
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [0, true], '
+                       '"coeffs": [[0.5, 0.0], [0.5, 0.0]]}')
+        assert main(["forward", "--input", str(inp)]) == 1
+
+    def test_boolean_coefficient_rejected(self, tmp_path):
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [0, 0], "coeffs": [[true, 0.0]]}')
+        assert main(["forward", "--input", str(inp)]) == 1

@@ -1,16 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import su2nlft
 from su2nlft import (
     BeurlingWeight,
     CoefficientSequence,
+    ConsistencyError,
+    ConvergenceError,
     GridSizeError,
+    NumericalError,
     RhSystem,
     apply_m,
     first_certified_index,
     inverse_nlft,
     inverse_nlft_detailed,
     layer_strip,
+    layer_strip_detailed,
     max_abs_difference,
     nlft_forward,
     reflect_pair,
@@ -181,3 +191,65 @@ class TestCertificate:
         c_left = solvability_certificate(pair, -1, w)
         c_right = solvability_certificate(pair, 0, w)
         assert c_right < c_left
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_strip_records_match_single_solves(self, reflected):
+        F = random_instance(12, -6, 9)
+        pair = nlft_forward(F)
+        n_points = 512
+        _, records = layer_strip_detailed(pair, (-6, 9), n_points=n_points)
+        records = [r for r in records if r.reflected == reflected]
+        assert records
+        source = reflect_pair(pair) if reflected else pair
+        for rec in records:
+            single = rh_solve(RhSystem.build(source, rec.n, n_points=n_points))
+            assert rec.a_star_zero == pytest.approx(single.a_star_zero,
+                                                    abs=1e-12)
+            for name in ("a", "b", "tilde_a_star", "tilde_b"):
+                assert max_abs_difference(getattr(rec, name),
+                                          getattr(single, name)) < 1e-12
+            assert rec.solution_norm == pytest.approx(single.solution_norm,
+                                                      abs=1e-12)
+
+    def test_wide_centred_round_trip(self):
+        F = random_instance(5, -128, 127)
+        rec, report = inverse_nlft_detailed(nlft_forward(F).b, (-128, 127))
+        assert max_abs_difference(rec, F) < 1e-10
+        assert report.round_trip_residual < 1e-10
+        assert len(report.records) == 256
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, su2nlft.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(su2nlft.__file__).parents[1]),
+             env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+class TestSolverFailures:
+    def test_factorization_failure_is_numerical_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(ConsistencyError):
+            rh_solve(RhSystem.build(TWO_POINT_PAIR, 1))
+
+    def test_residual_above_tol_raises(self):
+        sys_ = RhSystem.build(nlft_forward(random_instance(3, 0, 7)), 7)
+        assert rh_solve(sys_).residual > 1e-30
+        with pytest.raises(ConvergenceError):
+            rh_solve(sys_, tol=1e-30)
+
+    def test_non_finite_symbol_raises(self):
+        sys_ = RhSystem.build(TWO_POINT_PAIR, 1)
+        t = np.full_like(sys_.sym_b_over_astar, np.nan)
+        broken = RhSystem(TWO_POINT_PAIR, 1, sys_.n_points, sys_.bandwidth,
+                          t, np.conj(t))
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            rh_solve(broken)

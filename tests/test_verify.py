@@ -85,6 +85,17 @@ class TestSinhBound:
         rec = check_sinh_bound(SINGULAR, BeurlingWeight.one(), SINGULAR_PAIR)
         assert rec.passed
 
+    def test_overflowing_bound_is_vacuous_in_suite(self):
+        # ||F||_{l1_w} is about 1107 under poly:alpha=2; sinh overflows there
+        F = CoefficientSequence(0, 39, np.full(40, 0.05))
+        report = run_suite(F)
+        sinh = {r.weight: r for r in report.records if r.name == "sinh_bound"}
+        vacuous = sinh["poly:alpha=2"]
+        assert vacuous.passed and vacuous.rhs is None and vacuous.value is None
+        assert "vacuous" in vacuous.detail
+        assert sinh["one"].value >= -1e-12
+        json.dumps(report.to_dict(), allow_nan=False)
+
 
 class TestDecay:
     def test_first_order_two_point(self):
