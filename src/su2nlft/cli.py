@@ -135,8 +135,10 @@ class Config:
 
 
 def _fmt(x: float) -> str:
-    # 17 significant digits: enough for exact double round-trip
-    return format(float(x), ".17g")
+    # 17 significant digits: enough for exact double round-trip; JSON
+    # reads "-0" as the integer 0, so negative zero is written as a float
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def sequence_to_json(seq: CoefficientSequence) -> str:
@@ -321,9 +323,18 @@ def _apply_overrides(cfg: Config, args) -> Config:
 # ---------------------------------------------------------------------------
 
 
+def _require_determinant(pair: NlftPair, what: str) -> None:
+    if not pair.grid_residual <= PAIR_VALIDATION_TOL:  # NaN fails too
+        raise DeterminantError(
+            f"{what} has determinant residual "
+            f"{pair.grid_residual:.3e} > {PAIR_VALIDATION_TOL:.1e}"
+        )
+
+
 def cmd_forward(args, cfg: Config) -> int:
     F = load_sequence(args.input)
     pair = nlft_forward(F, cfg.n_points)
+    _require_determinant(pair, "forward result")
     _emit(pair_to_json(pair), args.out)
     to_stdout = args.out is not None
     _diag(f"a_star_zero = {_fmt(float(np.real(pair.a.coefficient(0))))}",
@@ -349,11 +360,7 @@ def cmd_inverse(args, cfg: Config) -> int:
     if args.a is not None:
         a = load_sequence(args.a)
         pair = pair_from_sequences(a, b, cfg.n_points)
-        if pair.grid_residual > PAIR_VALIDATION_TOL:
-            raise DeterminantError(
-                f"supplied pair has determinant residual "
-                f"{pair.grid_residual:.3e} > {PAIR_VALIDATION_TOL:.1e}"
-            )
+        _require_determinant(pair, "supplied pair")
         require_outer(star_reflect(a))
         F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol,
                                           n_points=cfg.n_points)

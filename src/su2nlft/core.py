@@ -391,12 +391,17 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def default_grid_size(width: int) -> int:
-    """Smallest power of two >= 8 * (width + 1)."""
+def _power_of_two_at_least(m: int) -> int:
+    """Smallest power of two >= max(m, 8)."""
     n = 8
-    while n < 8 * (width + 1):
+    while n < m:
         n *= 2
     return n
+
+
+def default_grid_size(width: int) -> int:
+    """Smallest power of two >= 8 * (width + 1)."""
+    return _power_of_two_at_least(8 * (width + 1))
 
 
 def _check_grid(n_points: int) -> None:

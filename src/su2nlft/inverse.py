@@ -45,6 +45,7 @@ from .core import (
     CoefficientSequence,
     NlftPair,
     _eval_samples,
+    _power_of_two_at_least,
     _window_coeffs,
     default_grid_size,
     star_reflect,
@@ -90,10 +91,7 @@ def default_bandwidth(window_width: int, b_width: int) -> int:
 
 def solver_grid_size(bandwidth: int, b_width: int) -> int:
     """Smallest power of two >= 4 * (bandwidth + width(b))."""
-    n = 8
-    while n < 4 * (bandwidth + b_width):
-        n *= 2
-    return n
+    return _power_of_two_at_least(4 * (bandwidth + b_width))
 
 
 def _b_lo(pair: NlftPair) -> int:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from su2nlft import CoefficientSequence, nlft_forward
+from su2nlft import CoefficientSequence, NlftPair, nlft_forward
 from su2nlft.cli import (
     load_pair,
     load_sequence,
@@ -374,3 +374,45 @@ class TestJsonBooleans:
         inp = tmp_path / "f.json"
         inp.write_text('{"support": [0, 0], "coeffs": [[true, 0.0]]}')
         assert main(["forward", "--input", str(inp)]) == 1
+
+
+class TestNegativeZero:
+    def test_negative_zero_round_trips_bit_identically(self, tmp_path):
+        seq = CoefficientSequence(
+            0, 1, np.array([complex(0.5, -0.0), complex(-0.0, -0.0)]))
+        text = sequence_to_json(seq)
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        loaded = load_sequence(str(path))
+        assert sequence_to_json(loaded) == text
+        for part in ("real", "imag"):
+            assert np.array_equal(
+                np.signbit(getattr(loaded.coeffs, part)),
+                np.signbit(getattr(seq.coeffs, part)),
+            )
+
+
+class TestForwardOverflow:
+    def test_huge_coefficient_is_transformed(self, tmp_path):
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [0, 1], "coeffs": [[1e308, 0], [0.5, 0]]}')
+        out = tmp_path / "pair.json"
+        assert main(["forward", "--input", str(inp), "--out", str(out)]) == 0
+        pair = load_pair(str(out))
+        assert pair.grid_residual < 1e-12
+        assert pair.b.coefficient(0) == pytest.approx(2 / math.sqrt(5), abs=1e-15)
+
+    def test_result_missing_determinant_exits_two(self, tmp_path, monkeypatch,
+                                                   capsys):
+        import su2nlft.cli as cli
+
+        def overflowed(F, n_points=None):
+            empty = CoefficientSequence.empty()
+            return NlftPair(empty, empty, 1.0)
+
+        monkeypatch.setattr(cli, "nlft_forward", overflowed)
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        out = tmp_path / "pair.json"
+        assert main(["forward", "--input", inp, "--out", str(out)]) == 2
+        assert "determinant residual" in capsys.readouterr().err
+        assert not out.exists()

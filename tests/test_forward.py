@@ -16,6 +16,7 @@ from su2nlft import (
     su2_product,
 )
 from su2nlft.core import _eval_samples
+from su2nlft.forward import _LEAF_WIDTH as LEAF
 
 
 def seq(entries):
@@ -132,6 +133,71 @@ class TestMultilinear:
         wide = CoefficientSequence(0, 39, np.full(40, 0.01, dtype=complex))
         with pytest.raises(CombinatoricsError):
             multilinear_term(20, wide)
+
+
+def factor_fold(F):
+    """Left fold of ``su2_product`` over the one-point factors of ``F``."""
+    acc = (CoefficientSequence.constant(1.0), CoefficientSequence.empty())
+    for k, v in zip(F.indices(), F.coeffs):
+        if v != 0:
+            acc = su2_product(acc, single_factor(int(k), complex(v)))
+    return acc
+
+
+def assert_matches_fold(F, tol=1e-13):
+    pair = nlft_forward(F)
+    a, b = factor_fold(F)
+    assert max_abs_difference(pair.a, a) < tol
+    assert max_abs_difference(pair.b, b) < tol
+    assert pair.grid_residual < 1e-12
+
+
+class TestDivideAndConquer:
+    """Widths around the leaf width exercise the block merges."""
+
+    @pytest.mark.parametrize(
+        "width", [1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 301])
+    def test_matches_factor_fold(self, width):
+        rng = np.random.default_rng(width)
+        vals = 0.3 * (rng.standard_normal(width)
+                      + 1j * rng.standard_normal(width))
+        assert_matches_fold(CoefficientSequence(7, 7 + width - 1, vals))
+
+    def test_negative_lo_with_interior_zeros(self):
+        rng = np.random.default_rng(23)
+        width = 2 * LEAF + 5
+        vals = 0.3 * (rng.standard_normal(width)
+                      + 1j * rng.standard_normal(width))
+        vals[rng.random(width) < 0.3] = 0.0
+        vals[LEAF - 3 : LEAF + 4] = 0.0  # a run of zeros across a block edge
+        assert_matches_fold(CoefficientSequence(-90, -90 + width - 1, vals))
+
+    def test_all_zero_sequence(self):
+        width = 3 * LEAF + 1
+        pair = nlft_forward(
+            CoefficientSequence(-LEAF, 2 * LEAF, np.zeros(width)))
+        assert (pair.a.support_lo, pair.a.support_hi) == (0, 0)
+        assert pair.a.coefficient(0) == 1.0
+        assert pair.b.is_empty
+        assert pair.grid_residual == 0.0
+
+
+class TestHugeCoefficients:
+    def test_huge_coefficient_does_not_overflow(self):
+        F = seq({0: 1e308, 1: 0.5})
+        assert_matches_fold(F)
+        assert nlft_forward(F).b.coefficient(0) == pytest.approx(
+            2 / np.sqrt(5), abs=1e-15)
+
+    def test_modulus_beyond_float_range(self):
+        # |F_0| overflows a double; the factor is the limit of F_0 / |F_0|
+        F = seq({0: 1.5e308 + 1.5e308j, 1: 0.5})
+        assert_matches_fold(F)
+        huge = nlft_forward(F)
+        large = nlft_forward(seq({0: 1e300 + 1e300j, 1: 0.5}))
+        assert huge.grid_residual < 1e-12
+        assert max_abs_difference(huge.a, large.a) < 1e-15
+        assert max_abs_difference(huge.b, large.b) < 1e-15
 
 
 @st.composite
