@@ -36,6 +36,12 @@ from .spectral import require_outer
 from .verify import decay_table, run_pair_checks, run_suite
 
 PAIR_VALIDATION_TOL = 1e-6
+# size caps, checked before anything is allocated: a grid holds a few
+# complex arrays of MAX_GRID_SIZE points (64 MiB each); stripping a
+# window factors dense matrices of order at least its width (256 MiB
+# each at MAX_WINDOW_WIDTH)
+MAX_GRID_SIZE = 1 << 22
+MAX_WINDOW_WIDTH = 1 << 12
 
 __all__ = [
     "Config",
@@ -84,6 +90,17 @@ class Config:
                 raise ValidationError(
                     f"config: grid_size must be 'auto' or a power of two >= 4,"
                     f" got {n!r}"
+                )
+            if n > MAX_GRID_SIZE:
+                raise ValidationError(
+                    f"config: grid_size {n} exceeds the cap {MAX_GRID_SIZE}"
+                )
+        if self.window is not None:
+            width = self.window[1] - self.window[0] + 1
+            if width > MAX_WINDOW_WIDTH:
+                raise ValidationError(
+                    f"config: support window of width {width} exceeds the "
+                    f"cap {MAX_WINDOW_WIDTH}"
                 )
         if self.weight is not None:
             if not isinstance(self.weight, str):

@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -30,8 +29,6 @@ from .errors import (
     VanishingSymbolError,
     WeightError,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "CoefficientSequence",
@@ -424,7 +421,7 @@ def _eval_samples(s: CoefficientSequence, n_points: int) -> np.ndarray:
     if not s.is_empty:
         idx = np.arange(s.support_lo, s.support_hi + 1) % n_points
         spec[idx] = s.coeffs
-    return np.fft.ifft(spec) * n_points
+    return np.fft.ifft(spec, norm="forward")
 
 
 def to_grid(s: CoefficientSequence, n_points: int) -> GridFunction:
@@ -455,7 +452,7 @@ def _window_coeffs(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
         raise GridSizeError(
             f"window [{lo}, {hi}] wider than {n_points - 1} aliases on the grid"
         )
-    c = np.fft.fft(samples) / n_points
+    c = np.fft.fft(samples, norm="forward")
     return c[np.arange(lo, hi + 1) % n_points]
 
 
@@ -520,11 +517,7 @@ def reciprocal_on_grid(
         raise VanishingSymbolError(
             f"min |s| = {small:.3e} < {min_modulus:.3e} on the grid"
         )
-    inv = GridFunction(n_points, 1.0 / samples)
-    out = from_grid(inv, window)
-    res = reciprocal_residual(s, out, n_points)
-    logger.debug("reciprocal_on_grid window=%s residual=%.3e", window, res)
-    return out
+    return from_grid(GridFunction(n_points, 1.0 / samples), window)
 
 
 def reciprocal_residual(

@@ -10,8 +10,13 @@ Among all solutions the normalization picks the one whose star dual
 so ``a* = exp(P g)`` with ``P`` the analytic (Herglotz) projection,
 evaluated with FFTs on a uniform grid.  ``a*(0) = exp(g^(0))`` is the
 exponential of the mean of ``g``, automatically positive.  Outerness of
-the truncated polynomial is certified after the fact by a winding count
-on a circle slightly inside the unit circle.
+the truncated polynomial is checked after the fact by a winding count on
+the unit circle, where ``|a*|^2 = 1 - |b|^2`` keeps ``a*`` away from 0.
+The count is taken on the smallest power-of-two grid on which the
+sampled values certify it: for ``p(z) = sum_k c_k z^k`` on ``|z| = rho``
+and ``S = sum_k k |c_k| rho^k``, ``2 pi S / N < min_j |p(rho z_j)|``
+keeps every arc between neighbouring samples inside a disk that
+excludes 0, so the phase-unwrapped count on ``N`` samples is exact.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from .core import (
     GridFunction,
     NlftPair,
     _eval_samples,
+    _power_of_two_at_least,
     default_grid_size,
-    determinant_residual,
     from_grid,
     star_reflect,
     to_grid,
@@ -54,20 +59,44 @@ DEFAULT_SZEGO_MARGIN = 1e-6
 TAIL_TARGET = 1e-10  # tail mass goal when auto-sizing coefficient windows
 PAIR_RESIDUAL_TOL = 1e-10
 WINDING_RADIUS = 0.999
-WINDING_OVERSAMPLE = 4
 MAX_OUTER_GRID = 1 << 18
 
 
 def _analytic_projection_exp(g: np.ndarray) -> np.ndarray:
     """Samples of ``exp(g^(0) + 2 sum_{n>0} g^(n) z^n)`` for real ``g``."""
     n = g.size
-    coeff = np.fft.fft(g) / n
     folded = np.zeros(n, dtype=np.complex128)
-    folded[0] = coeff[0]
-    folded[1 : n // 2] = 2.0 * coeff[1 : n // 2]
-    folded[n // 2] = coeff[n // 2]  # Nyquist bin kept once; content is ~0
-    log_astar = np.fft.ifft(folded) * n
-    return np.exp(log_astar)
+    folded[: n // 2 + 1] = np.fft.rfft(g, norm="forward")
+    folded[1 : n // 2] *= 2.0  # Nyquist bin kept once; content is ~0
+    log_astar = np.fft.ifft(folded, norm="forward")
+    return np.exp(log_astar, out=log_astar)
+
+
+def _circle_values(
+    s: CoefficientSequence, n_samples: int, radius: float
+) -> np.ndarray:
+    """Samples of ``s`` at ``radius`` times the ``n_samples`` roots of unity."""
+    if s.is_empty:
+        raise VanishingSymbolError("the zero polynomial has no winding number")
+    if s.support_lo < 0:
+        raise ValidationError("winding check expects support in [0, inf)")
+    if n_samples <= s.support_hi:
+        raise GridSizeError("not enough samples for the polynomial degree")
+    spec = np.zeros(n_samples, dtype=np.complex128)
+    k = np.arange(s.support_lo, s.support_hi + 1)
+    spec[k] = s.coeffs * radius ** k.astype(np.float64)
+    vals = np.fft.ifft(spec, norm="forward")
+    if np.min(np.abs(vals)) == 0.0:
+        raise VanishingSymbolError("zero hit on the winding contour")
+    return vals
+
+
+def _phase_count(vals: np.ndarray) -> int:
+    """Winding of the closed polygon through ``vals`` around 0."""
+    phases = np.angle(vals)
+    steps = np.diff(np.concatenate([phases, phases[:1]]))
+    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    return int(np.rint(steps.sum() / (2.0 * np.pi)))
 
 
 def winding_number(
@@ -80,22 +109,7 @@ def winding_number(
     By the argument principle this counts the zeros of the polynomial
     inside that circle (support must be in ``[0, deg]``).
     """
-    if s.is_empty:
-        raise VanishingSymbolError("the zero polynomial has no winding number")
-    if s.support_lo < 0:
-        raise ValidationError("winding check expects support in [0, inf)")
-    if n_samples <= s.support_hi:
-        raise GridSizeError("not enough samples for the polynomial degree")
-    spec = np.zeros(n_samples, dtype=np.complex128)
-    k = np.arange(s.support_lo, s.support_hi + 1)
-    spec[k] = s.coeffs * radius ** k.astype(np.float64)
-    vals = np.fft.ifft(spec) * n_samples
-    if np.min(np.abs(vals)) == 0.0:
-        raise VanishingSymbolError("zero hit on the winding contour")
-    phases = np.angle(vals)
-    steps = np.diff(np.concatenate([phases, phases[:1]]))
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.rint(steps.sum() / (2.0 * np.pi)))
+    return _phase_count(_circle_values(s, n_samples, radius))
 
 
 def outer_complement(
@@ -128,7 +142,7 @@ def outer_complement(
     SzegoMarginError
         If ``max |b|`` on the grid exceeds ``1 - szego_margin``.
     OuternessError
-        If the truncated ``a*`` winds around 0 on ``|z| = 0.999``.
+        If the truncated ``a*`` winds around 0 on ``|z| = 1``.
     ConsistencyError
         If the assembled pair misses the determinant identity by more
         than 1e-10 (window or grid too small).
@@ -147,24 +161,28 @@ def outer_complement(
     residual = np.inf
     astar = None
     for n in grids:
-        bv = to_grid(b, n).samples
-        sup_b = float(np.max(np.abs(bv))) if bv.size else 0.0
+        mod_b = np.abs(to_grid(b, n).samples)
+        sup_b = float(np.max(mod_b)) if mod_b.size else 0.0
         if sup_b > 1.0 - szego_margin:
             raise SzegoMarginError(
                 f"sup |b| = {sup_b:.12g} is within {szego_margin:.3e} of 1"
             )
-        g = 0.5 * np.log1p(-np.abs(bv) ** 2)
-        astar_samples = _analytic_projection_exp(g)
-
-        full = from_grid(GridFunction(n, astar_samples), (0, n - 2))
-        tail = float(np.sum(np.abs(full.coeffs[window_hi + 1 :])))
+        abs2_b = mod_b ** 2
+        # coefficients 0 .. n - 2 of a*: the window the grid resolves
+        coeffs = np.fft.fft(_analytic_projection_exp(0.5 * np.log1p(-abs2_b)),
+                            norm="forward")[: n - 1]
+        hi = min(window_hi, n - 2)
+        tail = float(np.sum(np.abs(coeffs[hi + 1 :])))
         logger.debug("outer_complement N=%d tail mass beyond %d: %.3e",
                      n, window_hi, tail)
-        astar = full.restrict(0, window_hi).trim()
-        residual = determinant_residual(star_reflect(astar), b, n)
+        astar = CoefficientSequence(0, hi, coeffs[: hi + 1]).trim()
+        # |a| = |a*| on the circle, so the truncated a* and the b samples
+        # already held give the determinant residual of the pair
+        abs2_a = np.abs(_eval_samples(astar, n)) ** 2
+        residual = float(np.max(np.abs(abs2_a + abs2_b - 1.0)))
         if residual <= PAIR_RESIDUAL_TOL:
             break
-    if residual > PAIR_RESIDUAL_TOL:
+    if not residual <= PAIR_RESIDUAL_TOL:  # NaN fails too
         raise ConsistencyError(
             f"outer complement misses the determinant identity by "
             f"{residual:.3e}; increase the grid or the coefficient window"
@@ -175,18 +193,34 @@ def outer_complement(
 
 
 def require_outer(astar: CoefficientSequence) -> None:
-    """Raise ``OuternessError`` if ``astar`` winds on ``|z| = 0.999``.
+    """Raise ``OuternessError`` if ``astar`` has zeros in the unit disk.
 
-    Winding counts zeros of ``a*`` inside the disk; layer stripping
-    assumes there are none.
+    Winding on ``|z| = 1`` counts the zeros of ``a*`` inside the disk;
+    layer stripping assumes there are none.  The count is certified:
+    with ``S = sum_k k |c_k|`` bounding ``|d a*(e^{it}) / dt|``, a grid
+    of ``N`` samples on which ``2 pi S / N < min_j |a*(z_j)|`` leaves no
+    zero on the circle and makes the phase-unwrapped count exact.  ``N``
+    starts at the smallest power of two above ``deg a*`` and doubles
+    until the certificate holds, up to ``4 * MAX_OUTER_GRID`` samples;
+    past that the count is taken uncertified and logged at DEBUG.
+    Rounding in the samples, of the order of ``eps * sum_k |c_k|``, is
+    left out of the certificate.
     """
-    n_wind = max(WINDING_OVERSAMPLE * default_grid_size(astar.width),
-                 WINDING_OVERSAMPLE * (astar.support_hi + 1))
-    wn = winding_number(astar, n_wind)
+    k = np.arange(astar.support_lo, astar.support_hi + 1)
+    slope = float(np.sum(k * np.abs(astar.coeffs)))
+    n = _power_of_two_at_least(astar.support_hi + 1)
+    while True:
+        vals = _circle_values(astar, n, 1.0)
+        certified = 2.0 * np.pi * slope / n < float(np.min(np.abs(vals)))
+        if certified or n >= 4 * MAX_OUTER_GRID:
+            break
+        n *= 2
+    if not certified:
+        logger.debug("require_outer: winding count on %d samples is not "
+                     "certified (S = %.3e)", n, slope)
+    wn = _phase_count(vals)
     if wn != 0:
-        raise OuternessError(
-            f"spectral factor winds {wn} times on |z| = {WINDING_RADIUS}"
-        )
+        raise OuternessError(f"spectral factor winds {wn} times on |z| = 1")
 
 
 def grid_quotient(

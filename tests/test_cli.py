@@ -7,6 +7,9 @@ import pytest
 
 from su2nlft import CoefficientSequence, NlftPair, nlft_forward
 from su2nlft.cli import (
+    MAX_GRID_SIZE,
+    MAX_WINDOW_WIDTH,
+    Config,
     load_pair,
     load_sequence,
     main,
@@ -207,6 +210,21 @@ class TestInverse:
         assert main(argv) == 2
         assert "round trip missed" in capsys.readouterr().err
 
+    def test_supplied_a_with_zero_near_circle_exits_two(self, tmp_path,
+                                                        capsys):
+        # a* has a zero at |z| = 0.99924, inside the disk
+        rng = np.random.default_rng(6)
+        vals = 0.5 * (rng.standard_normal(256)
+                      + 1j * rng.standard_normal(256)) / 16.0
+        pair = nlft_forward(CoefficientSequence(-128, 127, vals))
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(sequence_to_json(pair.a))
+        b.write_text(sequence_to_json(pair.b))
+        assert main(["inverse", "--b", str(b), "--a", str(a),
+                     "--support=-128..127"]) == 2
+        assert "winds 1 times" in capsys.readouterr().err
+
     def test_factorization_failure_exits_two(self, tmp_path, monkeypatch,
                                              capsys):
         def fail(_):
@@ -361,6 +379,40 @@ class TestEnvConfig:
         monkeypatch.setenv("NLFT_CONFIG", str(cfg))
         inp = write_seq(tmp_path / "f.json", TWO_POINT)
         assert main(["verify", "--input", inp]) == 1
+
+
+class TestSizeCaps:
+    # each case would allocate terabytes if it got past validation
+    def test_huge_grid_flag_rejected(self, tmp_path, capsys):
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        assert main(["forward", "--input", inp, "--grid", str(2**40)]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_huge_config_grid_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"grid_size": {2**40}}}')
+        monkeypatch.setenv("NLFT_CONFIG", str(cfg))
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        assert main(["verify", "--input", inp]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inverse", "verify"])
+    def test_huge_support_flag_rejected(self, tmp_path, capsys, command):
+        b = write_seq(tmp_path / "b.json", {0: 0.3})
+        assert main([command, "--b", b, "--support", f"0..{10**12}"]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_huge_config_window_rejected(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"window": [0, {10**12}]}}')
+        monkeypatch.setenv("NLFT_CONFIG", str(cfg))
+        b = write_seq(tmp_path / "b.json", {0: 0.3})
+        assert main(["inverse", "--b", b]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_sizes_at_the_caps_accepted(self):
+        Config(grid_size=MAX_GRID_SIZE,
+               window=(-1, MAX_WINDOW_WIDTH - 2)).validate()
 
 
 class TestJsonBooleans:

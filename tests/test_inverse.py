@@ -14,6 +14,7 @@ from su2nlft import (
     ConvergenceError,
     GridSizeError,
     NumericalError,
+    OuternessError,
     RhSystem,
     apply_m,
     first_certified_index,
@@ -26,7 +27,9 @@ from su2nlft import (
     reflect_pair,
     rh_solve,
     solvability_certificate,
+    star_reflect,
 )
+from su2nlft.spectral import require_outer
 
 
 def seq(entries):
@@ -253,3 +256,12 @@ class TestSolverFailures:
                           t, np.conj(t))
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             rh_solve(broken)
+
+
+class TestOuternessNearCircle:
+    def test_zero_just_inside_the_circle_is_rejected(self):
+        # the true a* has a zero at |z| = 0.99924; stripping this pair
+        # misses F by about 1e-2 without raising
+        pair = nlft_forward(random_instance(6, -128, 127, scale=0.5))
+        with pytest.raises(OuternessError, match="winds 1 times"):
+            require_outer(star_reflect(pair.a))

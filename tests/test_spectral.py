@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
 from su2nlft import (
     CoefficientSequence,
     GridSizeError,
+    OuternessError,
     SzegoMarginError,
     ValidationError,
     VanishingSymbolError,
@@ -18,6 +21,8 @@ from su2nlft import (
     winding_number,
     BeurlingWeight,
 )
+from su2nlft import spectral
+from su2nlft.spectral import require_outer
 
 
 def seq(entries):
@@ -89,6 +94,79 @@ class TestOuterComplement:
     def test_respects_explicit_grid(self):
         comp = outer_complement(TWO_POINT_PAIR.b, n_points=64)
         assert max_abs_difference(comp.a, TWO_POINT_PAIR.a) < 1e-12
+
+    def test_width_1024_recovers_forward_a(self):
+        rng = np.random.default_rng(11)
+        vals = 0.25 * (rng.standard_normal(1024)
+                       + 1j * rng.standard_normal(1024)) / 32.0
+        pair = nlft_forward(CoefficientSequence(0, 1023, vals))
+        comp = outer_complement(pair.b)
+        assert max_abs_difference(comp.a, pair.a) < 1e-10
+        assert comp.grid_residual <= 1e-10
+
+
+def from_roots(roots):
+    """Monic polynomial with the given zeros, coefficients ascending."""
+    c = np.poly(np.asarray(roots, dtype=np.complex128))[::-1]
+    return CoefficientSequence(0, c.size - 1, c)
+
+
+class TestCertifiedWinding:
+    CASES = [
+        [0.5],
+        [0.9995],
+        [1.0005],
+        [0.5 * np.exp(1j), 1.0005 * np.exp(2j)],
+        [0.9995 * np.exp(0.3j), 1.0005 * np.exp(-2.5j)],
+        [0.5 * np.exp(-1j), 0.9995 * np.exp(1.7j), 1.0005 * np.exp(0.4j)],
+    ]
+
+    @pytest.fixture
+    def grid_sizes(self, monkeypatch):
+        sizes = []
+        evaluate = spectral._circle_values
+
+        def spy(s, n_samples, radius):
+            sizes.append(n_samples)
+            return evaluate(s, n_samples, radius)
+
+        monkeypatch.setattr(spectral, "_circle_values", spy)
+        return sizes
+
+    @pytest.mark.parametrize("roots", CASES)
+    def test_agrees_with_dense_grid(self, roots, grid_sizes):
+        p = from_roots(roots)
+        dense = winding_number(p, 1 << 18, radius=1.0)
+        assert dense == sum(abs(r) < 1 for r in roots)
+        if dense == 0:
+            require_outer(p)
+        else:
+            with pytest.raises(OuternessError, match=f"winds {dense} times"):
+                require_outer(p)
+        assert grid_sizes[-1] < 1 << 20
+        # the count stopped on a certified grid
+        vals = spectral._circle_values(p, grid_sizes[-1], 1.0)
+        slope = np.sum(np.arange(p.width) * np.abs(p.coeffs))
+        assert 2 * np.pi * slope / grid_sizes[-1] < np.min(np.abs(vals))
+
+    def test_zero_near_circle_doubles_the_grid(self, grid_sizes):
+        with pytest.raises(OuternessError):
+            require_outer(from_roots([0.9995]))
+        assert grid_sizes[0] == 8
+        assert grid_sizes == [8 << i for i in range(len(grid_sizes))]
+        assert len(grid_sizes) > 1
+
+    def test_zero_on_circle_is_counted_uncertified(self, grid_sizes, caplog):
+        p = from_roots([np.exp(0.1j)])
+        with caplog.at_level(logging.DEBUG, logger="su2nlft.spectral"):
+            # no grid certifies a zero on the circle, so either outcome
+            # of the uncertified count is allowed; the log line is not
+            try:
+                require_outer(p)
+            except (OuternessError, VanishingSymbolError):
+                pass
+        assert grid_sizes[-1] == 1 << 20
+        assert "not certified" in caplog.text
 
 
 class TestSymbolRatio:
