@@ -24,6 +24,7 @@ from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
+    max_abs_difference,
     pair_from_sequences,
     sobolev_norm,
     star_reflect,
@@ -266,8 +267,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_SUPPORT_FORM = re.compile(r"(-?\d+)\.\.(-?\d+)")
+
+
 def _parse_support(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+    m = _SUPPORT_FORM.fullmatch(text.strip())
     if not m:
         raise ValidationError(
             f"bad --support {text!r}; expected the form m..M"
@@ -381,8 +385,7 @@ def cmd_inverse(args, cfg: Config) -> int:
         require_outer(star_reflect(a))
         F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol,
                                           n_points=cfg.n_points)
-        diff = nlft_forward(F, cfg.n_points).b - b
-        round_trip = float(np.max(np.abs(diff.coeffs))) if not diff.is_empty else 0.0
+        round_trip = max_abs_difference(nlft_forward(F, cfg.n_points).b, b)
     else:
         F, report = inverse_nlft_detailed(
             b, cfg.window, n_points=cfg.n_points, tol=cfg.solver_tol,
@@ -476,6 +479,11 @@ def cmd_norms(args, cfg: Config) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a lone "-4..6" for an option: join it to its --support
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--support" and _SUPPORT_FORM.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"--support={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         cfg = _apply_overrides(Config.from_env(), args)

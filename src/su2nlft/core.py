@@ -51,6 +51,8 @@ __all__ = [
     "sequences_allclose",
 ]
 
+MIN_MODULUS = 1e-6  # smallest |symbol| on the grid that division accepts
+
 
 # ---------------------------------------------------------------------------
 # value types
@@ -401,6 +403,11 @@ def default_grid_size(width: int) -> int:
     return _power_of_two_at_least(8 * (width + 1))
 
 
+def _pair_grid(pair: NlftPair) -> int:
+    """Default grid for checks on a pair: sized by its wider entry."""
+    return default_grid_size(max(pair.a.width, pair.b.width))
+
+
 def _check_grid(n_points: int) -> None:
     if not _is_power_of_two(n_points):
         raise GridSizeError(f"grid size {n_points} is not a power of two")
@@ -497,26 +504,30 @@ def convolve(s: CoefficientSequence, t: CoefficientSequence) -> CoefficientSeque
     )
 
 
+def _nonvanishing(samples: np.ndarray, name: str) -> np.ndarray:
+    """``samples``, checked to stay ``MIN_MODULUS`` away from zero."""
+    small = float(np.min(np.abs(samples)))
+    if small < MIN_MODULUS:
+        raise VanishingSymbolError(
+            f"min |{name}| = {small:.3e} < {MIN_MODULUS:.3e} on the grid"
+        )
+    return samples
+
+
 def reciprocal_on_grid(
     s: CoefficientSequence,
     n_points: int,
     window: tuple[int, int],
-    min_modulus: float = 1e-6,
 ) -> CoefficientSequence:
     """Windowed coefficients of ``1 / s`` computed by grid division.
 
     Raises
     ------
     VanishingSymbolError
-        If ``min_j |s(z_j)| < min_modulus``; division close to a zero on
+        If ``min_j |s(z_j)| < MIN_MODULUS``; division close to a zero on
         the circle is meaningless (Szego-type failure).
     """
-    samples = to_grid(s, n_points).samples
-    small = np.min(np.abs(samples))
-    if small < min_modulus:
-        raise VanishingSymbolError(
-            f"min |s| = {small:.3e} < {min_modulus:.3e} on the grid"
-        )
+    samples = _nonvanishing(to_grid(s, n_points).samples, "s")
     return from_grid(GridFunction(n_points, 1.0 / samples), window)
 
 

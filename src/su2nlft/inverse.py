@@ -45,9 +45,11 @@ from .core import (
     CoefficientSequence,
     NlftPair,
     _eval_samples,
+    _nonvanishing,
+    _pair_grid,
     _power_of_two_at_least,
     _window_coeffs,
-    default_grid_size,
+    max_abs_difference,
     star_reflect,
     weighted_l1_norm,
 )
@@ -56,7 +58,6 @@ from .errors import (
     ConvergenceError,
     GridSizeError,
     ValidationError,
-    VanishingSymbolError,
 )
 from .forward import CLAMP_TOL, nlft_forward
 from .spectral import grid_quotient, outer_complement
@@ -76,22 +77,15 @@ __all__ = [
     "reflect_pair",
     "solvability_certificate",
     "first_certified_index",
-    "default_bandwidth",
-    "solver_grid_size",
 ]
 
 DEFAULT_SOLVER_TOL = 1e-12
 IMAG_TOL = 1e-10  # allowed imaginary leakage in the leading solution entry
 
 
-def default_bandwidth(window_width: int, b_width: int) -> int:
+def _default_bandwidth(window_width: int, b_width: int) -> int:
     """Default coefficient bandwidth: 4x the strip window plus width(b)."""
     return 4 * max(window_width, 1) + b_width
-
-
-def solver_grid_size(bandwidth: int, b_width: int) -> int:
-    """Smallest power of two >= 4 * (bandwidth + width(b))."""
-    return _power_of_two_at_least(4 * (bandwidth + b_width))
 
 
 def _b_lo(pair: NlftPair) -> int:
@@ -142,22 +136,16 @@ class RhSystem:
         n: int,
         n_points: int | None = None,
         bandwidth: int | None = None,
-        min_modulus: float = 1e-6,
     ) -> "RhSystem":
         """Assemble the system for one truncation index of a validated pair."""
         b_lo = _b_lo(pair)
         b_width = pair.b.width
         if bandwidth is None:
-            bandwidth = default_bandwidth(max(n - b_lo + 1, 1), b_width)
+            bandwidth = _default_bandwidth(max(n - b_lo + 1, 1), b_width)
         bandwidth = max(bandwidth, n - b_lo + 2, b_width + 1, 1)
-        if n_points is None:
-            n_points = solver_grid_size(bandwidth, b_width)
-        av = _eval_samples(pair.a, n_points)
-        small = float(np.min(np.abs(av)))
-        if small < min_modulus:
-            raise VanishingSymbolError(
-                f"min |a| = {small:.3e} < {min_modulus:.3e} on the grid"
-            )
+        if n_points is None:  # 4x oversampling of bandwidth + width(b)
+            n_points = _power_of_two_at_least(4 * (bandwidth + b_width))
+        av = _nonvanishing(_eval_samples(pair.a, n_points), "a")
         bv = _eval_samples(pair.b, n_points)
         t = bv / np.conj(av)  # b / a* on the circle
         return cls(pair, n, n_points, bandwidth, t, np.conj(t))
@@ -322,14 +310,13 @@ def _strip_ascending(
     indices: list[int],
     tol: float,
     n_points: int | None,
-    bandwidth: int | None,
-    min_modulus: float,
+    bandwidth: int,
     reflected: bool,
 ) -> list[RhSolution]:
     """Every index from one factorization, on the grid of the largest."""
     if not indices:
         return []
-    sys = RhSystem.build(pair, max(indices), n_points, bandwidth, min_modulus)
+    sys = RhSystem.build(pair, max(indices), n_points, bandwidth)
     return _solve_truncations(sys.sym_b_over_astar, _b_lo(pair), indices,
                               tol, reflected)
 
@@ -339,8 +326,6 @@ def layer_strip_detailed(
     support_window: tuple[int, int],
     tol: float = DEFAULT_SOLVER_TOL,
     n_points: int | None = None,
-    bandwidth: int | None = None,
-    min_modulus: float = 1e-6,
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """Recover ``F`` on a window together with the per-index solve records.
 
@@ -352,15 +337,14 @@ def layer_strip_detailed(
     if hi < lo:
         raise ValidationError("support window is empty")
     width = hi - lo + 1
-    if bandwidth is None:
-        bandwidth = default_bandwidth(width, pair.b.width)
+    bandwidth = _default_bandwidth(width, pair.b.width)
 
     values: dict[int, complex] = {}
     records: list[RhSolution] = []
 
     direct = list(range(max(lo, 0), hi + 1))
     for sol in _strip_ascending(pair, direct, tol, n_points, bandwidth,
-                                min_modulus, reflected=False):
+                                reflected=False):
         values[sol.n] = sol.b.coefficient(sol.n) / sol.a_star_zero
         records.append(sol)
 
@@ -368,10 +352,9 @@ def layer_strip_detailed(
         mirrored = list(range(max(1, -hi), -lo + 1))
         refl = reflect_pair(pair)
         for sol in _strip_ascending(refl, mirrored, tol, n_points, bandwidth,
-                                    min_modulus, reflected=True):
+                                    reflected=True):
             values[-sol.n] = sol.b.coefficient(sol.n) / sol.a_star_zero
             records.append(sol)
-        records.sort(key=lambda r: (r.reflected, r.n))
 
     arr = np.zeros(width, dtype=np.complex128)
     for n, v in values.items():
@@ -385,10 +368,9 @@ def layer_strip(
     support_window: tuple[int, int],
     tol: float = DEFAULT_SOLVER_TOL,
     n_points: int | None = None,
-    bandwidth: int | None = None,
 ) -> CoefficientSequence:
     """Potential on a window via per-index Riemann-Hilbert solves."""
-    F, _ = layer_strip_detailed(pair, support_window, tol, n_points, bandwidth)
+    F, _ = layer_strip_detailed(pair, support_window, tol, n_points)
     return F
 
 
@@ -415,8 +397,6 @@ def inverse_nlft_detailed(
     n_points: int | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
     szego_margin: float = 1e-6,
-    bandwidth: int | None = None,
-    outer_window_hi: int | None = None,
 ) -> tuple[CoefficientSequence, InverseReport]:
     """Full inverse transform from ``b`` alone, with residual report.
 
@@ -428,13 +408,11 @@ def inverse_nlft_detailed(
     ``n_points`` sizes the solver grid only; the completion picks its
     own quadrature grid to meet its residual target.
     """
-    pair = outer_complement(b, window_hi=outer_window_hi,
-                            szego_margin=szego_margin)
+    pair = outer_complement(b, szego_margin=szego_margin)
     F, records = layer_strip_detailed(pair, support_window, tol,
-                                      n_points=n_points, bandwidth=bandwidth)
+                                      n_points=n_points)
     check = nlft_forward(F)
-    diff = check.b - b
-    rt = float(np.max(np.abs(diff.coeffs))) if not diff.is_empty else 0.0
+    rt = max_abs_difference(check.b, b)
     report = InverseReport(pair.grid_residual, records, rt)
     logger.info(
         "inverse_nlft window=%s pair_residual=%.3e solver_residual=%.3e "
@@ -450,11 +428,10 @@ def inverse_nlft(
     n_points: int | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
     szego_margin: float = 1e-6,
-    bandwidth: int | None = None,
 ) -> CoefficientSequence:
     """Recover ``F`` from ``b`` (see ``inverse_nlft_detailed``)."""
     F, _ = inverse_nlft_detailed(b, support_window, n_points, tol,
-                                 szego_margin, bandwidth)
+                                 szego_margin)
     return F
 
 
@@ -468,7 +445,6 @@ def solvability_certificate(
     n: int,
     w: BeurlingWeight,
     n_points: int | None = None,
-    min_modulus: float = 1e-6,
 ) -> float:
     """``|| P_{>n}(b) / a* ||_{A_w}``, the per-index solvability certificate.
 
@@ -476,15 +452,13 @@ def solvability_certificate(
     system at ``n``.  The norm is computed over the full index range the
     grid resolves.
     """
-    tail = pair.b.restrict(n + 1, pair.b.support_hi) if not pair.b.is_empty \
-        else CoefficientSequence.empty()
+    tail = pair.b.restrict(n + 1, pair.b.support_hi)
     if tail.is_empty:
         return 0.0
     if n_points is None:
-        n_points = 4 * default_grid_size(max(pair.a.width, pair.b.width))
-    astar = star_reflect(pair.a)
-    q = grid_quotient(tail, astar, n_points, (n + 1, n + n_points - 1),
-                      min_modulus)
+        n_points = 4 * _pair_grid(pair)
+    q = grid_quotient(tail, star_reflect(pair.a), n_points,
+                      (n + 1, n + n_points - 1))
     return weighted_l1_norm(q, w)
 
 

@@ -30,6 +30,8 @@ from .core import (
     GridFunction,
     NlftPair,
     _eval_samples,
+    _nonvanishing,
+    _pair_grid,
     _power_of_two_at_least,
     default_grid_size,
     from_grid,
@@ -115,10 +117,12 @@ def winding_number(
 def outer_complement(
     b: CoefficientSequence,
     n_points: int | None = None,
-    window_hi: int | None = None,
     szego_margin: float = DEFAULT_SZEGO_MARGIN,
 ) -> NlftPair:
     """Complete ``b`` to a pair ``(a, b)`` with outer ``a*`` and ``a*(0) > 0``.
+
+    Coefficients of ``a*`` are kept up to index ``4 * width(b)``; the
+    discarded tail mass is logged.
 
     Parameters
     ----------
@@ -131,9 +135,6 @@ def outer_complement(
         the quadrature error of the logarithmic integrand decays
         geometrically in the grid size, at a rate set by how close the
         zeros of ``a`` come to the circle.
-    window_hi : int, optional
-        Highest retained coefficient index of ``a*``; defaults to
-        ``4 * width(b)``.  The discarded tail mass is logged.
     szego_margin : float
         Required distance of ``sup |b|`` from 1.
 
@@ -147,12 +148,11 @@ def outer_complement(
         If the assembled pair misses the determinant identity by more
         than 1e-10 (window or grid too small).
     """
-    if window_hi is None:
-        window_hi = 4 * max(b.width, 1)
+    window_hi = 4 * max(b.width, 1)
     if n_points is not None:
         grids = [n_points]
     else:
-        start = default_grid_size(max(b.width, window_hi))
+        start = default_grid_size(window_hi)
         grids = []
         while start <= MAX_OUTER_GRID:
             grids.append(start)
@@ -228,24 +228,28 @@ def grid_quotient(
     denom: CoefficientSequence,
     n_points: int,
     window: tuple[int, int],
-    min_modulus: float = 1e-6,
 ) -> CoefficientSequence:
     """Windowed coefficients of ``numer / denom`` via grid division."""
-    dv = _eval_samples(denom, n_points)
-    small = float(np.min(np.abs(dv)))
-    if small < min_modulus:
-        raise VanishingSymbolError(
-            f"min |denominator| = {small:.3e} < {min_modulus:.3e} on the grid"
-        )
+    dv = _nonvanishing(_eval_samples(denom, n_points), "denominator")
     nv = _eval_samples(numer, n_points)
     return from_grid(GridFunction(n_points, nv / dv), window)
+
+
+def _full_symbol_ratio(
+    pair: NlftPair, n_points: int | None = None
+) -> CoefficientSequence:
+    """``b / a*`` on every index the grid resolves from ``lo(b)`` on."""
+    if n_points is None:
+        n_points = _pair_grid(pair)
+    lo = pair.b.support_lo if not pair.b.is_empty else 0
+    return grid_quotient(pair.b, star_reflect(pair.a), n_points,
+                         (lo, lo + n_points - 2))
 
 
 def symbol_ratio(
     pair: NlftPair,
     n_points: int | None = None,
     window: tuple[int, int] | None = None,
-    min_modulus: float = 1e-6,
 ) -> CoefficientSequence:
     """Coefficients of the ratio ``b / a*`` on a window.
 
@@ -257,11 +261,8 @@ def symbol_ratio(
     b = pair.b
     if b.is_empty:
         return CoefficientSequence.empty()
-    if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, b.width))
-    astar = star_reflect(pair.a)
+    full = _full_symbol_ratio(pair, n_points)
     lo = b.support_lo
-    full = grid_quotient(b, astar, n_points, (lo, lo + n_points - 2), min_modulus)
     mags = np.abs(full.coeffs)
     if window is not None:
         out = full.restrict(window[0], window[1])
@@ -280,15 +281,11 @@ def symbol_tail_mass(
     pair: NlftPair,
     n_points: int,
     window: tuple[int, int],
-    min_modulus: float = 1e-6,
 ) -> float:
     """Mass of ``b / a*`` coefficients beyond ``window``, as the grid sees it."""
-    b = pair.b
-    if b.is_empty:
+    if pair.b.is_empty:
         return 0.0
-    astar = star_reflect(pair.a)
-    lo = b.support_lo
-    full = grid_quotient(b, astar, n_points, (lo, lo + n_points - 2), min_modulus)
+    full = _full_symbol_ratio(pair, n_points)
     beyond = full.restrict(window[1] + 1, full.support_hi)
     before = full.restrict(full.support_lo, window[0] - 1)
     return float(np.sum(np.abs(beyond.coeffs)) + np.sum(np.abs(before.coeffs)))

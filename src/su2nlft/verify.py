@@ -26,13 +26,13 @@ from .core import (
     CoefficientSequence,
     NlftPair,
     _eval_samples,
-    default_grid_size,
+    _nonvanishing,
+    _pair_grid,
+    _window_coeffs,
     derivative,
-    from_grid,
+    max_abs_difference,
     sobolev_norm,
-    star_reflect,
     weighted_l1_norm,
-    GridFunction,
 )
 from .errors import (
     NumericalError,
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .forward import nlft_forward
 from .inverse import RhSystem, _apply_m_vec, inverse_nlft_detailed
-from .spectral import grid_quotient
+from .spectral import _full_symbol_ratio, grid_quotient
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +77,7 @@ LU_TOL = 1e-11
 ANTISYM_TOL = 1e-12
 CONTRACTION_SLACK = 1e-12
 ROUND_TRIP_TOL = 1e-8
+LU_MIN_A = 0.1  # the LU check is inapplicable below this min |a|
 
 
 @dataclass
@@ -166,7 +167,7 @@ def check_determinant(pair: NlftPair, n_points: int | None = None,
                       tol: float = DET_TOL) -> CheckRecord:
     """``max_j | |a|^2 + |b|^2 - 1 |`` on the grid against ``tol``."""
     if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, pair.b.width))
+        n_points = _pair_grid(pair)
     av = _eval_samples(pair.a, n_points)
     bv = _eval_samples(pair.b, n_points)
     s = np.abs(av) ** 2 + np.abs(bv) ** 2
@@ -213,7 +214,7 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
     gap is not positive on the nodes.
     """
     if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, pair.b.width))
+        n_points = _pair_grid(pair)
     lhs = float(np.sum(np.log1p(np.abs(F.coeffs) ** 2))) if not F.is_empty else 0.0
     if pair.b.is_empty:
         rhs = 0.0
@@ -275,13 +276,6 @@ def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
 # ---------------------------------------------------------------------------
 
 
-def _full_symbol_ratio(pair: NlftPair, n_points: int) -> CoefficientSequence:
-    b = pair.b
-    lo = b.support_lo if not b.is_empty else 0
-    return grid_quotient(b, star_reflect(pair.a), n_points,
-                         (lo, lo + n_points - 2))
-
-
 def _a_star_zero(pair: NlftPair) -> float:
     return float(np.real(pair.a.coefficient(0)))
 
@@ -293,22 +287,15 @@ def check_decay_first_order(F: CoefficientSequence, pair: NlftPair,
 
     Reports the worst margin (bound minus ``|F_n|``) over the support.
     """
-    if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, pair.b.width))
-    ratio = _full_symbol_ratio(pair, n_points)
-    deriv_l2 = derivative(ratio).l2_norm()
-    a0 = _a_star_zero(pair)
     worst_margin = math.inf
     worst = (0.0, 0.0, None)
-    if not F.is_empty:
-        for n, c in zip(F.indices(), F.coeffs):
-            if n == 0 or c == 0:
-                continue
-            bound = 2.0 * a0 * deriv_l2 / abs(n)
-            margin = bound - abs(c)
-            if margin < worst_margin:
-                worst_margin = margin
-                worst = (float(abs(c)), float(bound), int(n))
+    for n, mag, bound in decay_table(F, pair, n_points):
+        if bound is None or mag == 0:
+            continue
+        margin = bound - mag
+        if margin < worst_margin:
+            worst_margin = margin
+            worst = (mag, float(bound), int(n))
     if worst_margin is math.inf:
         worst_margin = 0.0  # no off-center entries: nothing to bound
     return CheckRecord(
@@ -337,7 +324,7 @@ def check_decay_fractional(F: CoefficientSequence, pair: NlftPair, s: float,
     if s < 1:
         raise ValidationError("fractional decay needs s >= 1")
     if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, pair.b.width))
+        n_points = _pair_grid(pair)
     ratio = _full_symbol_ratio(pair, n_points)
     hs = sobolev_norm(ratio, s)
     deriv_inf = float(np.max(np.abs(_eval_samples(derivative(ratio), n_points))))
@@ -375,7 +362,7 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
     ``epsilon=None`` half of the available margin is used.
     """
     if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, pair.b.width))
+        n_points = _pair_grid(pair)
     b_norm = weighted_l1_norm(pair.b, w)
     target = 1.0 / math.sqrt(2.0)
     if epsilon is None:
@@ -422,8 +409,7 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
 
 
 def _window_vec_norm(samples: np.ndarray, lo: int, hi: int) -> float:
-    g = GridFunction(samples.size, samples)
-    return from_grid(g, (lo, hi)).l2_norm()
+    return float(np.linalg.norm(_window_coeffs(samples, lo, hi)))
 
 
 def _random_window(rng, lo: int, hi: int, n_points: int) -> np.ndarray:
@@ -436,29 +422,23 @@ def _random_window(rng, lo: int, hi: int, n_points: int) -> np.ndarray:
 
 
 def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
-                           tol: float = LU_TOL, n: int | None = None,
-                           n_probes: int = 4, seed: int = 0,
-                           min_modulus: float = 1e-6) -> CheckRecord:
+                           tol: float = LU_TOL, seed: int = 0) -> CheckRecord:
     """Pointwise LU identities and the vanishing operator compositions.
 
     Checks ``C = L U`` and ``C = Ut Lt`` entrywise on the grid, the
     eight triangularity compositions (lower family against the analytic
     projection, upper family against its complement) and the four
-    compositions with the split projections at truncation ``n``, all on
-    random windowed probes.  The record value is the worst residual.
+    compositions with the split projections at the midpoint ``n`` of the
+    support of ``b``, all on four rounds of random windowed probes.  The
+    record value is the worst residual.
 
     The compositions vanish exactly only for the bi-infinite symbols;
     on a grid the tails of 1/a alias into the forbidden windows, so the
     default grid is oversized relative to the data width.
     """
     if n_points is None:
-        n_points = 4 * default_grid_size(max(pair.a.width, pair.b.width))
-    av = _eval_samples(pair.a, n_points)
-    small = float(np.min(np.abs(av)))
-    if small < min_modulus:
-        raise VanishingSymbolError(
-            f"min |a| = {small:.3e} < {min_modulus:.3e} on the grid"
-        )
+        n_points = 4 * _pair_grid(pair)
+    av = _nonvanishing(_eval_samples(pair.a, n_points), "a")
     bv = _eval_samples(pair.b, n_points)
     astar = np.conj(av)
     bstar = np.conj(bv)
@@ -491,8 +471,8 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     res_lu = mat_residual(C, matmul(L, U))
     res_ul = mat_residual(C, matmul(Ut, Lt))
 
-    if n is None:
-        n = (pair.b.support_lo + pair.b.support_hi) // 2 if not pair.b.is_empty else 0
+    n = (pair.b.support_lo + pair.b.support_hi) // 2 if not pair.b.is_empty else 0
+    n_probes = 4
     k = max(pair.a.width, pair.b.width, 8)
     if 4 * k + 2 * abs(n) >= n_points:
         k = max((n_points - 2 * abs(n)) // 4 - 1, 4)
@@ -561,12 +541,11 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
 
 def check_antisymmetry(pair: NlftPair, n: int | None = None,
                        n_points: int | None = None, n_probes: int = 20,
-                       seed: int = 0, tol: float = ANTISYM_TOL,
-                       bandwidth: int | None = None) -> CheckRecord:
+                       seed: int = 0, tol: float = ANTISYM_TOL) -> CheckRecord:
     """``|<Mx, y> + <x, My>| <= tol ||x|| ||y||`` on random probe pairs."""
     if n is None:
         n = pair.b.support_hi if not pair.b.is_empty else 0
-    sys = RhSystem.build(pair, n, n_points=n_points, bandwidth=bandwidth)
+    sys = RhSystem.build(pair, n, n_points=n_points)
     w = sys.bandwidth
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -622,8 +601,7 @@ def check_round_trip(F: CoefficientSequence, pair: NlftPair | None = None,
         pair.b, window, n_points=n_points, tol=solver_tol,
         szego_margin=szego_margin,
     )
-    diff = recovered - F
-    err = float(np.max(np.abs(diff.coeffs))) if not diff.is_empty else 0.0
+    err = max_abs_difference(recovered, F)
     rt = CheckRecord(
         name="round_trip",
         anchor="round_trip_recovery",
@@ -647,10 +625,7 @@ def decay_table(F: CoefficientSequence, pair: NlftPair | None = None,
     """
     if pair is None:
         pair = nlft_forward(F)
-    if n_points is None:
-        n_points = default_grid_size(max(pair.a.width, pair.b.width))
-    ratio = _full_symbol_ratio(pair, n_points)
-    deriv_l2 = derivative(ratio).l2_norm()
+    deriv_l2 = derivative(_full_symbol_ratio(pair, n_points)).l2_norm()
     a0 = _a_star_zero(pair)
     rows = []
     for n in F.indices():
@@ -678,38 +653,47 @@ def _error_record(name: str, anchor: str, exc: Exception) -> CheckRecord:
     )
 
 
+def _operator_records(pair: NlftPair, n_points: int | None,
+                      seed: int) -> list[CheckRecord]:
+    """The LU and skew-adjointness checks of a pair.
+
+    The LU check is inapplicable when ``min |a| < LU_MIN_A`` on the
+    grid; a symbol that vanishes makes an error record.
+    """
+    min_a = float(np.min(np.abs(_eval_samples(pair.a,
+                                              n_points or _pair_grid(pair)))))
+    if min_a < LU_MIN_A:
+        lu = CheckRecord(
+            name="lu_factorization", anchor="lu_factorization_identity",
+            kind=INAPPLICABLE, lhs=min_a, rhs=LU_MIN_A, value=None,
+            passed=True, tolerance=None,
+            detail=f"min |a| = {min_a:.3f} below the {LU_MIN_A} floor",
+        )
+    else:
+        try:
+            lu = check_lu_factorization(pair, n_points, seed=seed)
+        except VanishingSymbolError as exc:
+            lu = _error_record("lu_factorization", "lu_factorization_identity",
+                               exc)
+    try:
+        anti = check_antisymmetry(pair, n_points=n_points, seed=seed)
+    except VanishingSymbolError as exc:
+        anti = _error_record("antisymmetry", "rh_antisymmetry", exc)
+    return [lu, anti]
+
+
 def run_pair_checks(pair: NlftPair, n_points: int | None = None,
-                    seed: int = 0, lu_min_a: float = 0.1) -> VerificationReport:
+                    seed: int = 0) -> VerificationReport:
     """Checks that need only the pair (a, b), not the generating sequence.
 
     Used for externally supplied pairs, where determinant failure is the
-    typical defect to surface.
+    typical defect to surface.  ``metadata["grid"]`` is the grid of the
+    determinant check.
     """
-    report = VerificationReport(metadata={"input": "pair", "grid": n_points})
+    report = VerificationReport(
+        metadata={"input": "pair", "grid": n_points or _pair_grid(pair)})
     report.records.append(check_determinant(pair, n_points))
-    np_grid = n_points or default_grid_size(max(pair.a.width, pair.b.width))
-    min_a = float(np.min(np.abs(_eval_samples(pair.a, np_grid))))
-    if min_a >= lu_min_a:
-        try:
-            report.records.append(check_lu_factorization(pair, n_points,
-                                                         seed=seed))
-        except VanishingSymbolError as exc:
-            report.records.append(
-                _error_record("lu_factorization", "lu_factorization_identity",
-                              exc))
-    else:
-        report.records.append(CheckRecord(
-            name="lu_factorization", anchor="lu_factorization_identity",
-            kind=INAPPLICABLE, lhs=min_a, rhs=lu_min_a, value=None,
-            passed=True, tolerance=None,
-            detail=f"min |a| = {min_a:.3f} below the {lu_min_a} floor",
-        ))
-    try:
-        report.records.append(check_antisymmetry(pair, n_points=n_points,
-                                                 seed=seed))
-    except VanishingSymbolError as exc:
-        report.records.append(_error_record("antisymmetry", "rh_antisymmetry",
-                                            exc))
+    report.records += _operator_records(pair, n_points, seed)
     return report
 
 
@@ -724,7 +708,6 @@ def run_suite(
     round_trip_tol: float = ROUND_TRIP_TOL,
     szego_margin: float = 1e-6,
     seed: int = 0,
-    lu_min_a: float = 0.1,
 ) -> VerificationReport:
     """Run every check on one instance.
 
@@ -732,6 +715,7 @@ def run_suite(
     included) or the datum ``b`` (inverse direction first; the checks
     then run on the recovered sequence).  Hard-check failures and
     numerical errors flip the overall flag; monitored ratios never do.
+    ``metadata["grid"]`` is the grid of the identity and decay checks.
     """
     if (F is None) == (b is None):
         raise ValidationError("provide exactly one of F or b")
@@ -773,7 +757,7 @@ def run_suite(
 
     report.metadata = {
         "support": [F.support_lo, F.support_hi] if not F.is_empty else None,
-        "grid": n_points,
+        "grid": n_points or _pair_grid(pair),
         "weights": [w.descriptor for w in weights],
         "sobolev_orders": list(sobolev_orders),
         "seed": seed,
@@ -797,22 +781,7 @@ def run_suite(
     for w in weights:
         report.records.append(check_quantitative_baxter(F, pair, w,
                                                         n_points=n_points))
-    np_grid = n_points or default_grid_size(max(pair.a.width, pair.b.width))
-    min_a = float(np.min(np.abs(_eval_samples(pair.a, np_grid))))
-    if min_a >= lu_min_a:
-        report.records.append(check_lu_factorization(pair, n_points, seed=seed))
-    else:
-        report.records.append(CheckRecord(
-            name="lu_factorization", anchor="lu_factorization_identity",
-            kind=INAPPLICABLE, lhs=min_a, rhs=lu_min_a, value=None,
-            passed=True, tolerance=None,
-            detail=f"min |a| = {min_a:.3f} below the {lu_min_a} floor",
-        ))
-    try:
-        report.records.append(check_antisymmetry(pair, n_points=n_points,
-                                                 seed=seed))
-    except (VanishingSymbolError,) as exc:
-        report.records.append(_error_record("antisymmetry", "rh_antisymmetry", exc))
+    report.records += _operator_records(pair, n_points, seed)
 
     if inverse_records is None:
         try:

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2nlft import CoefficientSequence, NlftPair, nlft_forward
 from su2nlft.cli import (
@@ -122,6 +126,18 @@ class TestInverse:
         rec = load_sequence(str(out))
         assert rec.support_lo == 0 and rec.support_hi == 1
         assert np.max(np.abs(rec.coeffs - [0.5, 0.5])) < 1e-10
+
+    def test_support_below_zero_as_separate_token(self, tmp_path):
+        F = {-1: 0.3, 0: 0.2, 1: 0.25}
+        pair = nlft_forward(CoefficientSequence.from_dict(F))
+        b = tmp_path / "b.json"
+        b.write_text(sequence_to_json(pair.b))
+        out = tmp_path / "rec.json"
+        assert main(["inverse", "--b", str(b), "--support", "-1..1",
+                     "--out", str(out)]) == 0
+        rec = load_sequence(str(out))
+        assert rec.support_lo == -1 and rec.support_hi == 1
+        assert np.max(np.abs(rec.coeffs - [0.3, 0.2, 0.25])) < 1e-10
 
     def test_singular_b_exits_two(self, tmp_path):
         # |b| reaches 1 on the circle: no Szego margin, not invertible
@@ -276,6 +292,15 @@ class TestVerify:
         b.write_text(sequence_to_json(pair.b))
         assert main(["verify", "--b", str(b), "--support", "0..1",
                      "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_support_below_zero_as_separate_token(self, tmp_path):
+        pair = nlft_forward(CoefficientSequence.from_dict({-1: 0.3, 0: 0.2}))
+        b = tmp_path / "b.json"
+        b.write_text(sequence_to_json(pair.b))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--b", str(b), "--support", "-1..0",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["metadata"]["support"] == [-1, 0]
 
     def test_decay_csv(self, tmp_path):
         inp = write_seq(tmp_path / "f.json", TWO_POINT)
@@ -468,3 +493,45 @@ class TestForwardOverflow:
         assert main(["forward", "--input", inp, "--out", str(out)]) == 2
         assert "determinant residual" in capsys.readouterr().err
         assert not out.exists()
+
+
+@st.composite
+def sequences(draw):
+    lo = draw(st.integers(-20, 20))
+    vals = draw(st.lists(
+        st.complex_numbers(max_magnitude=2, allow_nan=False,
+                           allow_infinity=False),
+        min_size=0, max_size=24))
+    if not vals:
+        return CoefficientSequence.empty()
+    return CoefficientSequence(lo, lo + len(vals) - 1,
+                               np.asarray(vals, dtype=np.complex128))
+
+
+def same_bits(s, t):
+    return ((s.support_lo, s.support_hi) == (t.support_lo, t.support_hi)
+            and s.coeffs.tobytes() == t.coeffs.tobytes())
+
+
+class TestLoaderProperties:
+    @settings(deadline=None)
+    @given(sequences())
+    def test_loader_and_forward_round_trip_bit_for_bit(self, F):
+        pair = nlft_forward(F)
+        with tempfile.TemporaryDirectory() as tmp:
+            seq_path = os.path.join(tmp, "f.json")
+            pair_path = os.path.join(tmp, "pair.json")
+            with open(seq_path, "w", encoding="utf-8") as fh:
+                fh.write(sequence_to_json(F))
+            with open(pair_path, "w", encoding="utf-8") as fh:
+                fh.write(pair_to_json(pair))
+            F_back = load_sequence(seq_path)
+            pair_back = load_pair(pair_path)
+        assert same_bits(F_back, F)
+        assert same_bits(pair_back.a, pair.a)
+        assert same_bits(pair_back.b, pair.b)
+        assert (np.float64(pair_back.grid_residual).tobytes()
+                == np.float64(pair.grid_residual).tobytes())
+        again = nlft_forward(F_back)
+        assert same_bits(again.a, pair.a) and same_bits(again.b, pair.b)
+        assert again.grid_residual == pair.grid_residual

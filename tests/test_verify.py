@@ -10,6 +10,7 @@ from su2nlft import (
     NlftPair,
     SzegoMarginError,
     ValidationError,
+    VanishingSymbolError,
     check_antisymmetry,
     check_decay_first_order,
     check_decay_fractional,
@@ -20,6 +21,7 @@ from su2nlft import (
     check_round_trip,
     check_sinh_bound,
     decay_table,
+    default_grid_size,
     nlft_forward,
     run_pair_checks,
     run_suite,
@@ -220,11 +222,29 @@ class TestRunSuite:
         lu = [r for r in report.records if r.name == "lu_factorization"]
         assert lu[0].kind == "inapplicable"
 
+    def test_metadata_reports_resolved_grid(self):
+        assert run_suite(F=TWO_POINT).metadata["grid"] == default_grid_size(2)
+        assert run_suite(F=TWO_POINT, n_points=64).metadata["grid"] == 64
+
+    def test_vanishing_symbol_in_lu_check_is_an_error_record(self,
+                                                            monkeypatch):
+        def vanish(*args, **kwargs):
+            raise VanishingSymbolError("min |a| = 0 on the grid")
+
+        monkeypatch.setattr("su2nlft.verify.check_lu_factorization", vanish)
+        report = run_suite(F=TWO_POINT)
+        lu = [r for r in report.records if r.name == "lu_factorization"]
+        assert lu[0].kind == "error" and not report.overall_pass
+
 
 class TestRunPairChecks:
     def test_valid_pair(self):
         report = run_pair_checks(TWO_POINT_PAIR)
         assert report.overall_pass
+
+    def test_metadata_reports_resolved_grid(self):
+        report = run_pair_checks(TWO_POINT_PAIR)
+        assert report.metadata["grid"] == default_grid_size(2)
 
     def test_tampered_pair(self):
         report = run_pair_checks(tampered_pair())
