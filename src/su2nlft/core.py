@@ -24,6 +24,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     GridSizeError,
     ValidationError,
     VanishingSymbolError,
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 MIN_MODULUS = 1e-6  # smallest |symbol| on the grid that division accepts
+MAX_GRID = 1 << 18  # largest grid a data-dependent size doubles to
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +408,24 @@ def default_grid_size(width: int) -> int:
 def _pair_grid(pair: NlftPair) -> int:
     """Default grid for checks on a pair: sized by its wider entry."""
     return default_grid_size(max(pair.a.width, pair.b.width))
+
+
+def _doubling_grid(start: int, measure, target: float, what: str,
+                   cap: int = MAX_GRID):
+    """First ``(n, result)`` on ``n = start, 2 start, ...`` whose
+    ``measure(n) = (error, result)`` has ``error <= target`` (never a NaN).
+
+    Raises ``ConsistencyError`` when ``2 n`` would pass ``cap``.
+    """
+    n = start
+    while True:
+        error, result = measure(n)
+        if error <= target:
+            return n, result
+        if 2 * n > cap:
+            raise ConsistencyError(f"{what}: error {error:.3e} > {target:.1e} "
+                                   f"on {n} points, the largest grid allowed")
+        n *= 2
 
 
 def _check_grid(n_points: int) -> None:

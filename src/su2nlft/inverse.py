@@ -44,6 +44,7 @@ from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
+    _doubling_grid,
     _eval_samples,
     _nonvanishing,
     _pair_grid,
@@ -81,11 +82,6 @@ __all__ = [
 
 DEFAULT_SOLVER_TOL = 1e-12
 IMAG_TOL = 1e-10  # allowed imaginary leakage in the leading solution entry
-
-
-def _default_bandwidth(window_width: int, b_width: int) -> int:
-    """Default coefficient bandwidth: 4x the strip window plus width(b)."""
-    return 4 * max(window_width, 1) + b_width
 
 
 def _b_lo(pair: NlftPair) -> int:
@@ -137,17 +133,27 @@ class RhSystem:
         n_points: int | None = None,
         bandwidth: int | None = None,
     ) -> "RhSystem":
-        """Assemble the system for one truncation index of a validated pair."""
+        """Assemble the system for one truncation index of a validated pair.
+
+        Without ``n_points`` the grid doubles from ``2 * bandwidth`` until
+        ``b/a*`` has no coefficient above ``CLAMP_TOL`` on the top half
+        ``[lo(b) + N/2, lo(b) + N)`` of its index range, which folds back.
+        """
         b_lo = _b_lo(pair)
-        b_width = pair.b.width
-        if bandwidth is None:
-            bandwidth = _default_bandwidth(max(n - b_lo + 1, 1), b_width)
-        bandwidth = max(bandwidth, n - b_lo + 2, b_width + 1, 1)
-        if n_points is None:  # 4x oversampling of bandwidth + width(b)
-            n_points = _power_of_two_at_least(4 * (bandwidth + b_width))
-        av = _nonvanishing(_eval_samples(pair.a, n_points), "a")
-        bv = _eval_samples(pair.b, n_points)
-        t = bv / np.conj(av)  # b / a* on the circle
+        bandwidth = max(bandwidth or 1, n - b_lo + 2, pair.b.width + 1)
+
+        def b_over_astar(grid):
+            av = _nonvanishing(_eval_samples(pair.a, grid), "a")
+            t = _eval_samples(pair.b, grid) / np.conj(av)  # b / a* on the circle
+            top = _window_coeffs(t, b_lo + grid // 2, b_lo + grid - 1)
+            return float(np.max(np.abs(top))), t
+
+        if n_points is None:
+            start = _power_of_two_at_least(max(2 * bandwidth, pair.a.width + 1))
+            n_points, t = _doubling_grid(start, b_over_astar, CLAMP_TOL,
+                                         "coefficients of b/a* folded by the grid")
+        else:
+            t = b_over_astar(n_points)[1]
         return cls(pair, n, n_points, bandwidth, t, np.conj(t))
 
 
@@ -305,22 +311,6 @@ def reflect_pair(pair: NlftPair) -> NlftPair:
     return NlftPair(a_refl, b_refl, pair.grid_residual)
 
 
-def _strip_ascending(
-    pair: NlftPair,
-    indices: list[int],
-    tol: float,
-    n_points: int | None,
-    bandwidth: int,
-    reflected: bool,
-) -> list[RhSolution]:
-    """Every index from one factorization, on the grid of the largest."""
-    if not indices:
-        return []
-    sys = RhSystem.build(pair, max(indices), n_points, bandwidth)
-    return _solve_truncations(sys.sym_b_over_astar, _b_lo(pair), indices,
-                              tol, reflected)
-
-
 def layer_strip_detailed(
     pair: NlftPair,
     support_window: tuple[int, int],
@@ -336,30 +326,20 @@ def layer_strip_detailed(
     lo, hi = int(support_window[0]), int(support_window[1])
     if hi < lo:
         raise ValidationError("support window is empty")
-    width = hi - lo + 1
-    bandwidth = _default_bandwidth(width, pair.b.width)
-
-    values: dict[int, complex] = {}
+    arr = np.zeros(hi - lo + 1, dtype=np.complex128)
     records: list[RhSolution] = []
-
-    direct = list(range(max(lo, 0), hi + 1))
-    for sol in _strip_ascending(pair, direct, tol, n_points, bandwidth,
-                                reflected=False):
-        values[sol.n] = sol.b.coefficient(sol.n) / sol.a_star_zero
-        records.append(sol)
-
-    if lo < 0:
-        mirrored = list(range(max(1, -hi), -lo + 1))
-        refl = reflect_pair(pair)
-        for sol in _strip_ascending(refl, mirrored, tol, n_points, bandwidth,
-                                    reflected=True):
-            values[-sol.n] = sol.b.coefficient(sol.n) / sol.a_star_zero
+    for sign, source, indices in (
+        (1, pair, list(range(max(lo, 0), hi + 1))),
+        (-1, reflect_pair(pair), list(range(max(1, -hi), -lo + 1))),
+    ):
+        if not indices:
+            continue
+        sys = RhSystem.build(source, indices[-1], n_points)
+        for sol in _solve_truncations(sys.sym_b_over_astar, _b_lo(source),
+                                      indices, tol, reflected=sign < 0):
+            arr[sign * sol.n - lo] = sol.b.coefficient(sol.n) / sol.a_star_zero
             records.append(sol)
-
-    arr = np.zeros(width, dtype=np.complex128)
-    for n, v in values.items():
-        if abs(v) >= tol:
-            arr[n - lo] = v
+    arr[np.abs(arr) < tol] = 0.0
     return CoefficientSequence(lo, hi, arr).trim(), records
 
 
@@ -405,8 +385,8 @@ def inverse_nlft_detailed(
     of the completed pair, every solver record, and the coefficient
     error of the forward transform of the result against ``b``.
 
-    ``n_points`` sizes the solver grid only; the completion picks its
-    own quadrature grid to meet its residual target.
+    ``n_points`` fixes the solver grid, which otherwise doubles until
+    ``b/a*`` resolves; the completion always sizes its own grid.
     """
     pair = outer_complement(b, szego_margin=szego_margin)
     F, records = layer_strip_detailed(pair, support_window, tol,

@@ -26,20 +26,20 @@ import logging
 import numpy as np
 
 from .core import (
+    MAX_GRID,
     CoefficientSequence,
     GridFunction,
     NlftPair,
+    _doubling_grid,
     _eval_samples,
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
-    default_grid_size,
     from_grid,
     star_reflect,
     to_grid,
 )
 from .errors import (
-    ConsistencyError,
     GridSizeError,
     OuternessError,
     SzegoMarginError,
@@ -61,7 +61,6 @@ DEFAULT_SZEGO_MARGIN = 1e-6
 TAIL_TARGET = 1e-10  # tail mass goal when auto-sizing coefficient windows
 PAIR_RESIDUAL_TOL = 1e-10
 WINDING_RADIUS = 0.999
-MAX_OUTER_GRID = 1 << 18
 
 
 def _analytic_projection_exp(g: np.ndarray) -> np.ndarray:
@@ -130,9 +129,9 @@ def outer_complement(
         Upper entry of the sought pair; needs ``sup |b| <= 1 - szego_margin``
         on the grid.
     n_points : int, optional
-        FFT grid size (power of two).  When absent the grid is doubled
-        until the assembled pair meets the determinant residual target;
-        the quadrature error of the logarithmic integrand decays
+        FFT grid size (power of two), used as the only grid.  When absent
+        the grid doubles from 4x the window up to ``core.MAX_GRID``; the
+        quadrature error of the logarithmic integrand decays
         geometrically in the grid size, at a rate set by how close the
         zeros of ``a`` come to the circle.
     szego_margin : float
@@ -146,21 +145,11 @@ def outer_complement(
         If the truncated ``a*`` winds around 0 on ``|z| = 1``.
     ConsistencyError
         If the assembled pair misses the determinant identity by more
-        than 1e-10 (window or grid too small).
+        than 1e-10 on the largest grid allowed.
     """
     window_hi = 4 * max(b.width, 1)
-    if n_points is not None:
-        grids = [n_points]
-    else:
-        start = default_grid_size(window_hi)
-        grids = []
-        while start <= MAX_OUTER_GRID:
-            grids.append(start)
-            start *= 2
 
-    residual = np.inf
-    astar = None
-    for n in grids:
+    def assemble(n):
         mod_b = np.abs(to_grid(b, n).samples)
         sup_b = float(np.max(mod_b)) if mod_b.size else 0.0
         if sup_b > 1.0 - szego_margin:
@@ -180,14 +169,12 @@ def outer_complement(
         # already held give the determinant residual of the pair
         abs2_a = np.abs(_eval_samples(astar, n)) ** 2
         residual = float(np.max(np.abs(abs2_a + abs2_b - 1.0)))
-        if residual <= PAIR_RESIDUAL_TOL:
-            break
-    if not residual <= PAIR_RESIDUAL_TOL:  # NaN fails too
-        raise ConsistencyError(
-            f"outer complement misses the determinant identity by "
-            f"{residual:.3e}; increase the grid or the coefficient window"
-        )
+        return residual, (astar, residual)
 
+    _, (astar, residual) = _doubling_grid(
+        n_points or _power_of_two_at_least(4 * window_hi), assemble,
+        PAIR_RESIDUAL_TOL, "outer complement determinant residual",
+        n_points or MAX_GRID)
     require_outer(astar)
     return NlftPair(star_reflect(astar), b, residual)
 
@@ -201,7 +188,7 @@ def require_outer(astar: CoefficientSequence) -> None:
     of ``N`` samples on which ``2 pi S / N < min_j |a*(z_j)|`` leaves no
     zero on the circle and makes the phase-unwrapped count exact.  ``N``
     starts at the smallest power of two above ``deg a*`` and doubles
-    until the certificate holds, up to ``4 * MAX_OUTER_GRID`` samples;
+    until the certificate holds, up to ``4 * MAX_GRID`` samples;
     past that the count is taken uncertified and logged at DEBUG.
     Rounding in the samples, of the order of ``eps * sum_k |c_k|``, is
     left out of the certificate.
@@ -212,7 +199,7 @@ def require_outer(astar: CoefficientSequence) -> None:
     while True:
         vals = _circle_values(astar, n, 1.0)
         certified = 2.0 * np.pi * slope / n < float(np.min(np.abs(vals)))
-        if certified or n >= 4 * MAX_OUTER_GRID:
+        if certified or n >= 4 * MAX_GRID:
             break
         n *= 2
     if not certified:

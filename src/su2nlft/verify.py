@@ -15,6 +15,7 @@ and returns a small record.  Checks come in three kinds:
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,9 +26,11 @@ from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
+    _doubling_grid,
     _eval_samples,
     _nonvanishing,
     _pair_grid,
+    _power_of_two_at_least,
     _window_coeffs,
     derivative,
     max_abs_difference,
@@ -41,7 +44,7 @@ from .errors import (
     VanishingSymbolError,
 )
 from .forward import nlft_forward
-from .inverse import RhSystem, _apply_m_vec, inverse_nlft_detailed
+from .inverse import RhSystem, _apply_m_vec, _b_lo, inverse_nlft_detailed
 from .spectral import _full_symbol_ratio, grid_quotient
 
 logger = logging.getLogger(__name__)
@@ -208,20 +211,25 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
     Quadrature nodes sit halfway between the standard grid points, so a
     boundary zero of ``1 - |b|^2`` at a root of unity (where the log
     singularity is still integrable) never lands on a node; its exact
-    ``c/N`` aliasing error is removed by one Richardson step against the
-    doubled grid.  Interior instances are unaffected: both grids are
-    already spectrally accurate.  Raises ``SzegoMarginError`` when the
-    gap is not positive on the nodes.
+    ``c/N`` aliasing error is removed by the Richardson value
+    ``2 m(2N) - m(N)`` of the means on ``N`` and ``2N`` nodes.  Without
+    ``n_points``, ``N`` doubles from the pair grid until that value moves
+    by at most ``tol`` from ``N/2`` to ``N``; the detail names ``N``.
+    Raises ``SzegoMarginError`` when the gap is not positive on the nodes.
     """
-    if n_points is None:
-        n_points = _pair_grid(pair)
     lhs = float(np.sum(np.log1p(np.abs(F.coeffs) ** 2))) if not F.is_empty else 0.0
-    if pair.b.is_empty:
-        rhs = 0.0
+    mean = functools.cache(functools.partial(_shifted_log_gap_mean, pair.b))
+
+    def richardson(n):  # each mean is computed once
+        return 2.0 * mean(2 * n) - mean(n)
+
+    if n_points is None:
+        n_points, rhs = _doubling_grid(
+            _pair_grid(pair),
+            lambda n: (abs(richardson(n) - richardson(n // 2)), richardson(n)),
+            tol, "plancherel quadrature")
     else:
-        coarse = _shifted_log_gap_mean(pair.b, n_points)
-        fine = _shifted_log_gap_mean(pair.b, 2 * n_points)
-        rhs = 2.0 * fine - coarse
+        rhs = richardson(n_points)
     residual = abs(lhs - rhs)
     return CheckRecord(
         name="plancherel",
@@ -232,6 +240,7 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
         value=residual,
         passed=residual <= tol,
         tolerance=tol,
+        detail=f"grid={n_points}",
     )
 
 
@@ -545,7 +554,9 @@ def check_antisymmetry(pair: NlftPair, n: int | None = None,
     """``|<Mx, y> + <x, My>| <= tol ||x|| ||y||`` on random probe pairs."""
     if n is None:
         n = pair.b.support_hi if not pair.b.is_empty else 0
-    sys = RhSystem.build(pair, n, n_points=n_points)
+    # M is skew on any grid that holds its windows, resolved or not
+    sys = RhSystem.build(pair, n, n_points or max(
+        _pair_grid(pair), _power_of_two_at_least(2 * (n - _b_lo(pair) + 2))))
     w = sys.bandwidth
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -715,7 +726,8 @@ def run_suite(
     included) or the datum ``b`` (inverse direction first; the checks
     then run on the recovered sequence).  Hard-check failures and
     numerical errors flip the overall flag; monitored ratios never do.
-    ``metadata["grid"]`` is the grid of the identity and decay checks.
+    ``metadata["grid"]`` is the grid of the determinant and decay checks;
+    the plancherel record names its own.
     """
     if (F is None) == (b is None):
         raise ValidationError("provide exactly one of F or b")
@@ -766,7 +778,7 @@ def run_suite(
     report.records.append(check_determinant(pair, n_points))
     try:
         report.records.append(check_plancherel(F, pair, n_points))
-    except SzegoMarginError as exc:
+    except NumericalError as exc:
         report.records.append(
             _error_record("plancherel", "szego_plancherel_identity", exc))
     for w in weights:

@@ -6,10 +6,18 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2nlft import CoefficientSequence, NlftPair, nlft_forward
+from su2nlft import (
+    CoefficientSequence,
+    NlftPair,
+    NumericalError,
+    layer_strip,
+    max_abs_difference,
+    nlft_forward,
+    star_reflect,
+)
 from su2nlft.cli import (
     MAX_GRID_SIZE,
     MAX_WINDOW_WIDTH,
@@ -211,6 +219,19 @@ class TestInverse:
         assert main(["inverse", "--b", str(b), "--a", str(a),
                      "--support", "0..1"]) == 2
         assert "winds" in capsys.readouterr().err
+
+    def test_supplied_a_beyond_the_grid_cap_exits_two(self, tmp_path,
+                                                      capsys):
+        # a* has a zero at |z| = 1.00043: b/a* needs more than 2^18 points
+        pair = nlft_forward(CoefficientSequence.from_dict(
+            {0: 1.1654 - 0.4929j, 1: -0.6748 - 0.4107j}))
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(sequence_to_json(pair.a))
+        b.write_text(sequence_to_json(pair.b))
+        assert main(["inverse", "--b", str(b), "--a", str(a),
+                     "--support", "0..1"]) == 2
+        assert "largest grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("with_a", [False, True])
     def test_missed_round_trip_exits_two(self, tmp_path, capsys, with_a):
@@ -535,3 +556,22 @@ class TestLoaderProperties:
         again = nlft_forward(F_back)
         assert same_bits(again.a, pair.a) and same_bits(again.b, pair.b)
         assert again.grid_residual == pair.grid_residual
+
+    @settings(deadline=None)
+    @given(sequences())
+    # a width-sized solver grid aliased b/a* here (error 2e-8)
+    @example(CoefficientSequence(0, 1, np.array([1.0, 0.75])))
+    def test_inverse_recovers_or_raises(self, F):
+        # stripping assumes a* has no zero in the closed disk; most draws
+        # of this law have one, too many for assume() to filter out
+        if F.is_empty:
+            return
+        pair = nlft_forward(F)
+        roots = np.roots(star_reflect(pair.a).coeffs[::-1])
+        if roots.size and np.min(np.abs(roots)) <= 1.0:
+            return
+        try:
+            got = layer_strip(pair, (F.support_lo, F.support_hi))
+        except NumericalError:
+            return
+        assert max_abs_difference(got, F) <= 1e-10

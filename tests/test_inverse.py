@@ -265,3 +265,30 @@ class TestOuternessNearCircle:
         pair = nlft_forward(random_instance(6, -128, 127, scale=0.5))
         with pytest.raises(OuternessError, match="winds 1 times"):
             require_outer(star_reflect(pair.a))
+
+
+# the only zero of a* is at |z| = 1.081, so the coefficients of b/a*
+# decay like 1.081^-k: a grid sized by the width alone aliases them
+SLOW_DECAY = seq({0: -1.1614 - 0.8551j, 1: -0.618 - 0.1709j})
+# a* has a zero at |z| = 1.00043: b/a* does not resolve on 2^18 points
+NEAR_CIRCLE = seq({0: 1.1654 - 0.4929j, 1: -0.6748 - 0.4107j})
+
+
+class TestDataSizedSolverGrid:
+    def test_layer_strip_resolves_slow_decay(self):
+        F = layer_strip(nlft_forward(SLOW_DECAY), (0, 1))
+        assert max_abs_difference(F, SLOW_DECAY) <= 1e-12
+
+    def test_rh_solve_on_default_grid(self):
+        sol = rh_solve(RhSystem.build(nlft_forward(SLOW_DECAY), 1))
+        F1 = sol.b.coefficient(1) / sol.a_star_zero
+        assert abs(F1 - SLOW_DECAY.coefficient(1)) <= 1e-12
+
+    def test_inverse_nlft_resolves_slow_decay(self):
+        # 1e-10 is the determinant residual target of the completion
+        F = inverse_nlft(nlft_forward(SLOW_DECAY).b, (0, 1))
+        assert max_abs_difference(F, SLOW_DECAY) <= 1e-10
+
+    def test_grid_cap_raises_numerical_error(self):
+        with pytest.raises(ConsistencyError, match="largest grid"):
+            layer_strip(nlft_forward(NEAR_CIRCLE), (0, 1))

@@ -66,6 +66,16 @@ class TestPlancherel:
         assert rec.passed and rec.value < 1e-8
         assert rec.lhs == pytest.approx(2 * math.log(2), abs=1e-15)
 
+    def test_detail_names_the_grid(self):
+        rec = check_plancherel(SINGULAR, SINGULAR_PAIR, n_points=8192)
+        assert rec.detail == "grid=8192"
+
+    def test_boundary_instance_settles_below_the_cap(self):
+        # the c/N error of the boundary zero cancels in the Richardson
+        # value, so the doubling stops at once
+        rec = check_plancherel(SINGULAR, SINGULAR_PAIR)
+        assert rec.passed and rec.detail == f"grid={default_grid_size(2)}"
+
     def test_hypothesis_error_when_b_exceeds_one(self):
         bad = NlftPair(SINGULAR_PAIR.a, SINGULAR_PAIR.b.scale(1.3), 0.0)
         with pytest.raises(SzegoMarginError):
