@@ -39,8 +39,8 @@ from .verify import decay_table, run_pair_checks, run_suite
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
 # complex arrays of MAX_GRID_SIZE points (64 MiB each); stripping a
-# window factors dense matrices of order at least its width (256 MiB
-# each at MAX_WINDOW_WIDTH)
+# window takes time quadratic in its width (about half a second at
+# MAX_WINDOW_WIDTH)
 MAX_GRID_SIZE = 1 << 22
 MAX_WINDOW_WIDTH = 1 << 12
 
@@ -304,7 +304,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, help="solver tolerance")
     p.add_argument("--imaginary", action="store_true",
                    help="require the recovered entries to be purely imaginary")
-    p.add_argument("--csv", help="write per-index solver residual CSV")
+    p.add_argument("--csv", help="write per-index solver record CSV; "
+                   "solver_residual is the gap of the pivot identity")
     common(p)
 
     p = sub.add_parser("verify", help="run the verification suite")
@@ -365,6 +366,8 @@ def cmd_forward(args, cfg: Config) -> int:
 
 
 def _write_convergence_csv(path: str, records) -> None:
+    # the records come from layer stripping, so solver_residual is the gap
+    # of the pivot identity (see layer_strip_detailed), not ||B - T A||
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "solver_residual", "solution_norm", "rhs_norm"])

@@ -19,17 +19,41 @@ coefficients ``c`` of ``b/a*`` on ``[lo, n]``, the two block rows read
 
     (I + T T^H) B = c.
 
-The matrix for index ``n`` is the leading principal block of the one
-for the largest index, so one Cholesky factorization ``L L^H`` and one
-triangular solve ``y = L^{-1} c`` serve every index:
-``B = L_m^{-H} y[:m]`` with ``m = n - lo + 1``.  The potential is then
-read off one index at a time:
+``rh_solve`` factors this matrix densely for its one index.  Layer
+stripping needs every index of a window.  The matrix for index ``n`` is
+the leading principal block of the one for the largest index, so the
+Cholesky factor ``L`` of the largest one serves them all, and stripping
+reads only its diagonal and ``y = L^{-1} c``.  ``T`` commutes with the
+down-shift ``Z``, so ``K = I + T T^H`` has displacement rank two with
+both signs positive:
 
-    F_n = b_n^(n) / a_n*(0)
+    K - Z K Z^H = e_0 e_0^H + c c^H.
 
-(the layer-stripping formula).  Negative indices are recovered by
-stripping the reflected pair ``(a*(1/z), b(1/z))``, which is the
-transform of the index-reversed sequence.
+The generalized Schur algorithm (Kailath & Sayed, SIAM Rev. 1995) then
+produces ``L`` column by column from the generators ``(e_0, c)``.  Step
+``k`` rotates their leading entries ``(alpha, beta)`` by a unitary 2x2
+rotation to ``(L_kk, 0)``, ``L_kk = hypot(alpha, beta)``.  The rotated
+first generator is column ``k`` of ``L`` and moves one row down for the
+next step; the second drops its leading zero.  One step of
+column-oriented forward substitution per column streams ``y``.  The
+pass takes O(N^2) time and O(N) memory and forms no N x N array.
+
+With ``j = n - lo``, ``B_j = y_j / L_jj`` is the last entry of
+``B = L^{-H} y``, the pivot is ``L_jj = 1 / a_n*(0)``, and
+``sum_{i <= j} |y_i|^2 = c^H K^{-1} c = 1 - a_n*(0)^2`` (with ``K`` and
+``c`` cut to their leading ``j + 1`` rows).
+The potential is read off one index at a time:
+
+    F_n = b_n^(n) / a_n*(0) = y_j L_jj
+
+(the layer-stripping formula), which never divides by the
+cancellation-prone ``1 - sum |y_i|^2``.  The pivot identity
+``L_jj^2 (1 - sum_{i <= j} |y_i|^2) = 1`` compares the rotations with
+the substitution; its gap is the residual of a stripping record.  The
+method is the Riemann-Hilbert-Weiss algorithm of Alexis, Lin,
+Mnatsakanyan, Thiele & Wang (arXiv 2407.05634).  Negative indices are
+recovered by stripping the reflected pair ``(a*(1/z), b(1/z))``, which
+is the transform of the index-reversed sequence.
 """
 
 from __future__ import annotations
@@ -144,16 +168,19 @@ class RhSystem:
 
         def b_over_astar(grid):
             av = _nonvanishing(_eval_samples(pair.a, grid), "a")
-            t = _eval_samples(pair.b, grid) / np.conj(av)  # b / a* on the circle
+            return _eval_samples(pair.b, grid) / np.conj(av)  # b / a* on the circle
+
+        def folded(grid):
+            t = b_over_astar(grid)
             top = _window_coeffs(t, b_lo + grid // 2, b_lo + grid - 1)
             return float(np.max(np.abs(top))), t
 
         if n_points is None:
             start = _power_of_two_at_least(max(2 * bandwidth, pair.a.width + 1))
-            n_points, t = _doubling_grid(start, b_over_astar, CLAMP_TOL,
+            n_points, t = _doubling_grid(start, folded, CLAMP_TOL,
                                          "coefficients of b/a* folded by the grid")
         else:
-            t = b_over_astar(n_points)[1]
+            t = b_over_astar(n_points)
         return cls(pair, n, n_points, bandwidth, t, np.conj(t))
 
 
@@ -197,7 +224,12 @@ def apply_m(
 
 @dataclass(eq=False)
 class RhSolution:
-    """Result of one truncated solve (denormalized and renormalized forms)."""
+    """Result of one truncated solve (denormalized and renormalized forms).
+
+    ``solution_norm`` is ``||x||``, which equals ``a_star_zero`` because
+    ``M`` is skew-adjoint; ``residual`` is described by ``rh_solve`` and
+    ``layer_strip_detailed``, whose records differ in what it measures.
+    """
 
     n: int
     a: CoefficientSequence  # a_n
@@ -211,74 +243,114 @@ class RhSolution:
     reflected: bool = False
 
 
-def _solve_truncations(
-    t: np.ndarray,
-    b_lo: int,
-    indices: list[int],
-    tol: float,
-    reflected: bool = False,
-) -> list[RhSolution]:
-    """Solve the truncated systems of every index from one factorization.
+class _StripRecord(RhSolution):
+    """A stripping record whose sequence fields are solved on first read.
 
-    ``t`` holds grid samples of ``b/a*`` and ``b_lo`` is the lowest index
-    of ``b``.  Index ``n`` keeps the leading ``m = n - b_lo + 1``
-    unknowns of ``B``; ``m <= 0`` is the trivial solution ``x = (1, 0)``.
+    Stripping itself needs only ``a_star_zero``, ``residual`` and
+    ``solution_norm``.  ``a``, ``b``, ``tilde_a_star`` and ``tilde_b``
+    come from the dense solve of ``rh_solve`` on the direction's
+    coefficient vector ``c``, run once and cached.
     """
-    size = max(max(indices) - b_lo + 1, 1)
-    c = _window_coeffs(t, b_lo, b_lo + size - 1)
+
+    def __init__(self, n: int, a_star_zero: float, residual: float,
+                 reflected: bool, c: np.ndarray, b_lo: int, tol: float):
+        self.n = n
+        self.a_star_zero = a_star_zero
+        self.residual = residual
+        self.solution_norm = a_star_zero
+        self.rhs_norm = 1.0
+        self.reflected = reflected
+        self._c, self._b_lo, self._tol = c, b_lo, tol
+        self._full: RhSolution | None = None
+
+    def _solved(self) -> RhSolution:
+        if self._full is None:
+            self._full = _dense_solve(self._c, self._b_lo, self.n, self._tol)
+        return self._full
+
+    a = property(lambda self: self._solved().a)
+    b = property(lambda self: self._solved().b)
+    tilde_a_star = property(lambda self: self._solved().tilde_a_star)
+    tilde_b = property(lambda self: self._solved().tilde_b)
+
+
+def _dense_solve(c: np.ndarray, b_lo: int, n: int, tol: float) -> RhSolution:
+    """Solve ``(I + T T^H) B = c`` densely at truncation index ``n``.
+
+    ``c`` holds the coefficients of ``b/a*`` from ``b_lo`` on, of which
+    the leading ``n - b_lo + 1`` are used; ``n < b_lo`` gives the trivial
+    solution ``x = (1, 0)``.
+    """
+    size = max(n - b_lo + 1, 1)
+    c = c[:size] if n >= b_lo else np.zeros(1, dtype=np.complex128)
     k = np.arange(size)
     lag = k[:, None] - k[None, :]
     T = np.where(lag >= 0, c[lag % size], 0.0)
     try:
         L = np.linalg.cholesky(np.eye(size) + T @ T.conj().T)
+        B = np.linalg.solve(L.conj().T, np.linalg.solve(L, c))
     except np.linalg.LinAlgError as exc:
         raise ConsistencyError(
             f"I + T T^H of size {size} is not numerically positive definite"
         ) from exc
-    L_inv = np.tril(np.linalg.inv(L))
-    y = L_inv @ c
-    # column m of X2 is L_m^{-H} y[:m], the solution of the m x m block
-    X2 = np.zeros((size, size + 1), dtype=np.complex128)
-    X2[:, 1:] = np.cumsum(L_inv.conj().T * y, axis=1)
-    m = np.clip(np.asarray(indices) - b_lo + 1, 0, None)
-    X2 = X2[:, m]
-    X1 = -(T.conj().T @ X2)
-    X1[0] += 1.0
+    A = -(T.conj().T @ B)
+    A[0] += 1.0
     # the first block row holds by construction; the second is B = T A
-    active = k[:, None] < m[None, :]
-    residuals = np.linalg.norm(np.where(active, X2 - T @ X1, 0.0), axis=0)
-    sol_norms = np.hypot(np.linalg.norm(X1, axis=0), np.linalg.norm(X2, axis=0))
+    residual = float(np.linalg.norm(B - T @ A))
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"residual {residual:.3e} exceeds {tol:.1e} at truncation {n}"
+        )
+    leading = A[0]
+    if abs(leading.imag) > IMAG_TOL or leading.real <= 0.0:
+        raise ConsistencyError(
+            f"leading solution entry {leading!r} is not a positive real"
+        )
+    a_star_zero = math.sqrt(leading.real)
+    tilde_a_star = CoefficientSequence(0, size - 1, A).clamp(CLAMP_TOL)
+    tilde_b = CoefficientSequence(b_lo, b_lo + size - 1, B).clamp(CLAMP_TOL)
+    return RhSolution(
+        n=n,
+        a=star_reflect(tilde_a_star.scale(1.0 / a_star_zero)),
+        b=tilde_b.scale(1.0 / a_star_zero),
+        a_star_zero=a_star_zero,
+        tilde_a_star=tilde_a_star,
+        tilde_b=tilde_b,
+        residual=residual,
+        solution_norm=float(np.hypot(np.linalg.norm(A), np.linalg.norm(B))),
+        rhs_norm=1.0,
+    )
 
-    out = []
-    for j, n in enumerate(indices):
-        residual = float(residuals[j])
-        if not residual <= tol:
-            raise ConvergenceError(
-                f"residual {residual:.3e} exceeds {tol:.1e} at truncation {n}"
-            )
-        leading = X1[0, j]
-        if abs(leading.imag) > IMAG_TOL or leading.real <= 0.0:
-            raise ConsistencyError(
-                f"leading solution entry {leading!r} is not a positive real"
-            )
-        a_star_zero = math.sqrt(leading.real)
-        # rows at and beyond m are exact zeros, which clamp trims away
-        tilde_a_star = CoefficientSequence(0, size - 1, X1[:, j]).clamp(CLAMP_TOL)
-        tilde_b = CoefficientSequence(b_lo, b_lo + size - 1,
-                                      X2[:, j]).clamp(CLAMP_TOL)
-        out.append(RhSolution(
-            n=n,
-            a=star_reflect(tilde_a_star.scale(1.0 / a_star_zero)),
-            b=tilde_b.scale(1.0 / a_star_zero),
-            a_star_zero=a_star_zero,
-            tilde_a_star=tilde_a_star,
-            tilde_b=tilde_b,
-            residual=residual,
-            solution_norm=float(sol_norms[j]),
-            rhs_norm=1.0,
-            reflected=reflected,
-        ))
-    return out
+
+def _schur_pass(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of the Cholesky factor ``L`` of ``I + T T^H``, and
+    ``y = L^{-1} c``, by the generalized Schur algorithm on the
+    generators ``(e_0, c)`` (see the module docstring)."""
+    size = c.size
+    # before step k, g[:, :size - k] holds rows k.. of the two generators
+    # and of c minus the columns of L substituted so far
+    g = np.zeros((3, size), dtype=np.complex128)
+    g[0, :1] = 1.0
+    g[1] = c
+    g[2] = c
+    step = np.eye(3, dtype=np.complex128)
+    pivots = np.empty(size)
+    y = np.empty(size, dtype=np.complex128)
+    for k in range(size):
+        alpha, beta, rest = g[:, 0].tolist()
+        pivot = math.hypot(abs(alpha), abs(beta))
+        pivots[k] = pivot
+        y[k] = rest / pivot
+        # rows 0-1 rotate (alpha, beta) to (pivot, 0); the rotated first
+        # generator is column k of L, which row 2 substitutes
+        u, v = alpha / pivot, beta / pivot
+        step[0, 0], step[0, 1] = u.conjugate(), v.conjugate()
+        step[1, 0], step[1, 1] = -v, u
+        step[2, 0], step[2, 1] = -y[k] * u.conjugate(), -y[k] * v.conjugate()
+        new = step @ g[:, :size - k]
+        g[0, :size - k - 1] = new[0, :-1]  # moves one row down
+        g[1:, :size - k - 1] = new[1:, 1:]  # leading entries are now zero
+    return pivots, y
 
 
 def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
@@ -286,17 +358,19 @@ def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
 
     The solve is the dense reduction ``(I + T T^H) B = c`` (see the
     module docstring), factored by Cholesky from the coefficients of
-    ``sys.sym_b_over_astar``; layer stripping runs the same routine for
-    all of its indices at once.  ``residual`` is the exact 2-norm
-    residual of the truncated system.
+    ``sys.sym_b_over_astar`` on ``[lo(b), n]``.  ``residual`` is the
+    exact 2-norm residual ``||B - T A||`` of the truncated system.  (A
+    record from layer stripping holds the gap of the pivot identity
+    there instead; see ``layer_strip_detailed``.)
 
     Raises ``ConvergenceError`` if that residual exceeds ``tol``, and
     ``ConsistencyError`` if the factorization fails or the leading entry
     of the solution (which equals ``a_n*(0)^2``) is not a positive real
     within tolerance.
     """
-    return _solve_truncations(sys.sym_b_over_astar, _b_lo(sys.pair),
-                              [sys.n], tol)[0]
+    b_lo = _b_lo(sys.pair)
+    return _dense_solve(_window_coeffs(sys.sym_b_over_astar, b_lo, sys.n),
+                        b_lo, sys.n, tol)
 
 
 def reflect_pair(pair: NlftPair) -> NlftPair:
@@ -320,8 +394,21 @@ def layer_strip_detailed(
     """Recover ``F`` on a window together with the per-index solve records.
 
     Indices ``n >= 0`` are stripped from the pair directly; negative
-    indices are stripped at ``-n`` from the reflected pair.  Entries with
-    ``|F_n| < tol`` are reported as zero.
+    indices are stripped at ``-n`` from the reflected pair.  Each
+    direction takes one generalized Schur pass (see the module
+    docstring), and ``F_n = y_j L_jj`` with ``j = n - lo(b)``.  Entries
+    with ``|F_n| < tol`` are reported as zero.
+
+    A record's ``a_star_zero`` and ``solution_norm`` are ``1 / L_jj``,
+    so a pivot below 1, which ``I + T T^H >= I`` rules out, fails
+    ``check_contraction``.  Its ``residual`` is the gap
+    ``|L_jj^2 (1 - sum_{i <= j} |y_i|^2) - 1|`` of the pivot identity:
+    zero in exact arithmetic, it compares the pivots of the rotations
+    with the forward substitution.  It is not the system residual that
+    ``rh_solve`` reports.  Raises ``ConvergenceError`` if a gap exceeds
+    ``tol`` (a NaN fails too).  The fields ``a``, ``b``,
+    ``tilde_a_star`` and ``tilde_b`` are solved by ``rh_solve``'s dense
+    routine when first read.
     """
     lo, hi = int(support_window[0]), int(support_window[1])
     if hi < lo:
@@ -335,10 +422,25 @@ def layer_strip_detailed(
         if not indices:
             continue
         sys = RhSystem.build(source, indices[-1], n_points)
-        for sol in _solve_truncations(sys.sym_b_over_astar, _b_lo(source),
-                                      indices, tol, reflected=sign < 0):
-            arr[sign * sol.n - lo] = sol.b.coefficient(sol.n) / sol.a_star_zero
-            records.append(sol)
+        b_lo = _b_lo(source)
+        c = _window_coeffs(sys.sym_b_over_astar, b_lo, indices[-1])
+        pivots, y = _schur_pass(c)
+        # a_n*(0)^2 two ways: 1 / L_jj^2 and 1 - sum_{i <= j} |y_i|^2
+        gaps = np.abs(pivots ** 2 * (1.0 - np.cumsum(np.abs(y) ** 2)) - 1.0)
+        for n in indices:
+            j = n - b_lo
+            if j < 0:  # below b: the trivial solution x = (1, 0)
+                records.append(_StripRecord(n, 1.0, 0.0, sign < 0, c, b_lo, tol))
+                continue
+            gap = float(gaps[j])
+            if not gap <= tol:
+                raise ConvergenceError(
+                    f"pivot identity misses by {gap:.3e} > {tol:.1e} "
+                    f"at truncation {n}"
+                )
+            arr[sign * n - lo] = y[j] * pivots[j]
+            records.append(_StripRecord(n, 1.0 / float(pivots[j]), gap,
+                                        sign < 0, c, b_lo, tol))
     arr[np.abs(arr) < tol] = 0.0
     return CoefficientSequence(lo, hi, arr).trim(), records
 

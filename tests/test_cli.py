@@ -18,6 +18,7 @@ from su2nlft import (
     nlft_forward,
     star_reflect,
 )
+from su2nlft import inverse
 from su2nlft.cli import (
     MAX_GRID_SIZE,
     MAX_WINDOW_WIDTH,
@@ -262,15 +263,15 @@ class TestInverse:
                      "--support=-128..127"]) == 2
         assert "winds 1 times" in capsys.readouterr().err
 
-    def test_factorization_failure_exits_two(self, tmp_path, monkeypatch,
-                                             capsys):
-        def fail(_):
-            raise np.linalg.LinAlgError("not positive definite")
+    def test_stripping_failure_exits_two(self, tmp_path, monkeypatch,
+                                         capsys):
+        def broken(c):
+            return np.full(c.size, np.nan), np.full(c.size, np.nan + 0j)
 
         pair = nlft_forward(CoefficientSequence.from_dict(TWO_POINT))
         b = tmp_path / "b.json"
         b.write_text(sequence_to_json(pair.b))
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        monkeypatch.setattr(inverse, "_schur_pass", broken)
         assert main(["inverse", "--b", str(b), "--support", "0..1"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
@@ -459,6 +460,23 @@ class TestSizeCaps:
     def test_sizes_at_the_caps_accepted(self):
         Config(grid_size=MAX_GRID_SIZE,
                window=(-1, MAX_WINDOW_WIDTH - 2)).validate()
+
+    def test_inverse_at_the_window_cap(self, tmp_path, capsys):
+        half = MAX_WINDOW_WIDTH // 2
+        rng = np.random.default_rng(5)
+        vals = 0.25 * (rng.standard_normal(MAX_WINDOW_WIDTH)
+                       + 1j * rng.standard_normal(MAX_WINDOW_WIDTH))
+        F = CoefficientSequence(-half, half - 1,
+                                vals / math.sqrt(MAX_WINDOW_WIDTH))
+        b = tmp_path / "b.json"
+        b.write_text(sequence_to_json(nlft_forward(F).b))
+        out = tmp_path / "rec.json"
+        code = main(["inverse", "--b", str(b), f"--support={-half}..{half - 1}",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and "numerical failure" in err), err
+        if code == 0:
+            assert max_abs_difference(load_sequence(str(out)), F) <= 1e-8
 
 
 class TestJsonBooleans:

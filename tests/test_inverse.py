@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,15 @@ from su2nlft import (
     layer_strip_detailed,
     max_abs_difference,
     nlft_forward,
+    outer_complement,
     reflect_pair,
     rh_solve,
     solvability_certificate,
     star_reflect,
+    winding_number,
 )
+from su2nlft.core import _eval_samples
+from su2nlft.forward import _leaf_arrays, _normalized
 from su2nlft.spectral import require_outer
 
 
@@ -234,6 +239,154 @@ class TestOneFactorization:
         assert out.stdout.strip() == "False"
 
 
+def acceptance_draws(count):
+    """Seeded draws of the law of tests/test_acceptance.py: support inside
+    [-16, 16], |F_k| <= 0.3, rescaled until sup |b| <= 0.9, and redrawn
+    while a* winds."""
+    rng = np.random.default_rng(0)
+    out = []
+    while len(out) < count:
+        lo = int(rng.integers(-16, 17))
+        hi = int(rng.integers(lo, 17))
+        vals = (0.3 * np.sqrt(rng.random(hi - lo + 1))
+                * np.exp(2j * np.pi * rng.random(hi - lo + 1)))
+        while True:
+            pair = nlft_forward(CoefficientSequence(lo, hi, vals), 1024)
+            if np.max(np.abs(_eval_samples(pair.b, 8192))) <= 0.9:
+                break
+            vals = vals * 0.9
+        if winding_number(star_reflect(pair.a), 4096) == 0:
+            out.append((pair, (lo, hi)))
+    return out
+
+
+def small_a_star_zero_draws(count):
+    """Completed pairs ``outer_complement(b)`` with ``a*(0)^2 < 0.2``, from
+    seeded draws of width 2-8 with ``|F_k| <= 1.5``."""
+    rng = np.random.default_rng(2)
+    out = []
+    while len(out) < count:
+        w = int(rng.integers(2, 9))
+        lo = int(rng.integers(-4, 2))
+        vals = 1.5 * np.sqrt(rng.random(w)) * np.exp(2j * np.pi * rng.random(w))
+        try:
+            pair = outer_complement(
+                nlft_forward(CoefficientSequence(lo, lo + w - 1, vals)).b)
+        except NumericalError:
+            continue
+        if np.real(pair.a.coefficient(0)) ** 2 < 0.2:
+            out.append((pair, (lo, lo + w - 1)))
+    return out
+
+
+def zero_free_draws(count):
+    """The first ``count`` seeded draws of width 2-8 with ``|F_k| <= 2``
+    whose ``a*`` has no zero in the closed disk.
+
+    Most draws of this law have such a zero, so the candidates are
+    screened in one batch: ``a*`` comes from the forward factor
+    recursion, and its zeros are the reciprocals of the eigenvalues of
+    the companion matrix of the reversed polynomial, whose leading
+    coefficient ``a*(0)`` is positive.
+    """
+    rng = np.random.default_rng(0)
+    n = 40 * count
+    widths = rng.integers(2, 9, size=n)
+    los = rng.integers(-4, 5, size=n)
+    vals = (2 * np.sqrt(rng.random((n, 8)))
+            * np.exp(2j * np.pi * rng.random((n, 8))))
+    keep = np.zeros(n, dtype=bool)
+    for w in range(2, 9):
+        rows = np.flatnonzero(widths == w)
+        astar = _leaf_arrays(*_normalized(vals[rows, :w]))[:, 0]
+        companion = np.zeros((rows.size, w - 1, w - 1), dtype=np.complex128)
+        companion[:, 0] = -astar[:, 1:] / astar[:, :1]
+        companion[:, np.arange(1, w - 1), np.arange(w - 2)] = 1.0
+        roots_inv = np.abs(np.linalg.eigvals(companion))
+        keep[rows] = np.max(roots_inv, axis=1) < 1.0
+    picked = np.flatnonzero(keep)[:count]
+    assert picked.size == count
+    return [CoefficientSequence(int(los[i]), int(los[i] + widths[i]) - 1,
+                                vals[i, :widths[i]]) for i in picked]
+
+
+def assert_strip_matches_single_solves(pair, window, n_points):
+    F, records = layer_strip_detailed(pair, window, n_points=n_points)
+    assert len(records) == window[1] - window[0] + 1
+    for rec in records:
+        source = reflect_pair(pair) if rec.reflected else pair
+        single = rh_solve(RhSystem.build(source, rec.n, n_points=n_points))
+        F_n = F.coefficient(-rec.n if rec.reflected else rec.n)
+        assert abs(F_n - single.b.coefficient(rec.n) / single.a_star_zero) \
+            <= 1e-12
+        for name in ("a_star_zero", "solution_norm"):
+            assert abs(getattr(rec, name) - getattr(single, name)) <= 1e-12
+        for name in ("a", "b", "tilde_a_star", "tilde_b"):
+            assert max_abs_difference(getattr(rec, name),
+                                      getattr(single, name)) <= 1e-12
+
+
+class TestSchurStripping:
+    def test_matches_single_solves_on_acceptance_law(self):
+        for pair, window in acceptance_draws(8):
+            assert_strip_matches_single_solves(pair, window, 1024)
+
+    def test_matches_single_solves_at_small_a_star_zero(self):
+        for pair, window in small_a_star_zero_draws(5):
+            assert_strip_matches_single_solves(pair, window, 4096)
+
+    def test_tight_tol_raises(self):
+        pair = nlft_forward(random_instance(3, 0, 7))
+        with pytest.raises(ConvergenceError, match="pivot identity"):
+            layer_strip(pair, (0, 7), tol=1e-30)
+
+    def test_non_finite_symbol_raises(self, monkeypatch):
+        build = RhSystem.build
+
+        def nan_build(pair, n, n_points=None):
+            sys_ = build(pair, n, n_points)
+            t = np.full_like(sys_.sym_b_over_astar, np.nan)
+            return RhSystem(pair, n, sys_.n_points, sys_.bandwidth, t,
+                            np.conj(t))
+
+        monkeypatch.setattr(RhSystem, "build", nan_build)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            layer_strip(TWO_POINT_PAIR, (0, 1))
+
+    def test_zero_free_law_strips_or_stops_at_the_grid_cap(self):
+        capped = 0
+        for F in zero_free_draws(1500):
+            try:
+                got = layer_strip(nlft_forward(F),
+                                  (F.support_lo, F.support_hi))
+            except ConsistencyError as exc:
+                assert "largest grid" in str(exc)
+                capped += 1
+                continue
+            assert max_abs_difference(got, F) <= 1e-10
+        # only a* zeros within about 5e-4 of the circle reach the cap;
+        # a sequential draw of this law with seed 0 has 6 in 1,500
+        assert capped <= 15
+
+    def test_wide_centred_round_trip_at_width_1024(self):
+        F = random_instance(5, -512, 511)
+        rec, report = inverse_nlft_detailed(nlft_forward(F).b, (-512, 511))
+        assert max_abs_difference(rec, F) < 1e-10
+        assert report.round_trip_residual < 1e-10
+        assert len(report.records) == 1024
+
+    def test_wide_strip_forms_no_square_array(self):
+        pair = nlft_forward(random_instance(5, -512, 511))
+        tracemalloc.start()
+        try:
+            layer_strip_detailed(pair, (-512, 511))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 1024 x 1024 complex matrix takes 16 MiB
+        assert peak < 8 * 2**20
+
+
 class TestSolverFailures:
     def test_factorization_failure_is_numerical_error(self, monkeypatch):
         def fail(_):
@@ -288,6 +441,18 @@ class TestDataSizedSolverGrid:
         # 1e-10 is the determinant residual target of the completion
         F = inverse_nlft(nlft_forward(SLOW_DECAY).b, (0, 1))
         assert max_abs_difference(F, SLOW_DECAY) <= 1e-10
+
+    def test_explicit_grid_skips_the_fold_measure(self, monkeypatch):
+        calls = []
+        window_coeffs = su2nlft.inverse._window_coeffs
+
+        def counted(*args):
+            calls.append(args)
+            return window_coeffs(*args)
+
+        monkeypatch.setattr(su2nlft.inverse, "_window_coeffs", counted)
+        RhSystem.build(TWO_POINT_PAIR, 1, n_points=64)
+        assert calls == []
 
     def test_grid_cap_raises_numerical_error(self):
         with pytest.raises(ConsistencyError, match="largest grid"):
