@@ -48,8 +48,12 @@ The potential is read off one index at a time:
 
 (the layer-stripping formula), which never divides by the
 cancellation-prone ``1 - sum |y_i|^2``.  The pivot identity
-``L_jj^2 (1 - sum_{i <= j} |y_i|^2) = 1`` compares the rotations with
-the substitution; its gap is the residual of a stripping record.  The
+``1 - sum_{i <= j} |y_i|^2 = 1 / L_jj^2`` computes ``a_n*(0)^2`` twice,
+from the substitution and from the rotations; its gap is the residual
+of a stripping record.  It is taken in this form, not multiplied
+through by ``L_jj^2``, because the rounding of order ``eps`` in the
+sum would then grow by ``L_jj^2 = 1 / a_n*(0)^2`` and fail accurate
+strips of large potentials.  The
 method is the Riemann-Hilbert-Weiss algorithm of Alexis, Lin,
 Mnatsakanyan, Thiele & Wang (arXiv 2407.05634).  Negative indices are
 recovered by stripping the reflected pair ``(a*(1/z), b(1/z))``, which
@@ -249,7 +253,10 @@ class _StripRecord(RhSolution):
     Stripping itself needs only ``a_star_zero``, ``residual`` and
     ``solution_norm``.  ``a``, ``b``, ``tilde_a_star`` and ``tilde_b``
     come from the dense solve of ``rh_solve`` on the direction's
-    coefficient vector ``c``, run once and cached.
+    coefficient vector ``c``, run once and cached.  That solve costs
+    O(m^3) for ``m = n - lo(b) + 1`` and gates its residual against the
+    strip's ``tol``, so reading one of these fields can raise a
+    ``NumericalError``.  ``repr`` shows only the eager fields.
     """
 
     def __init__(self, n: int, a_star_zero: float, residual: float,
@@ -267,6 +274,13 @@ class _StripRecord(RhSolution):
         if self._full is None:
             self._full = _dense_solve(self._c, self._b_lo, self.n, self._tol)
         return self._full
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(n={self.n!r}, "
+                f"a_star_zero={self.a_star_zero!r}, "
+                f"residual={self.residual!r}, "
+                f"solution_norm={self.solution_norm!r}, "
+                f"rhs_norm={self.rhs_norm!r}, reflected={self.reflected!r})")
 
     a = property(lambda self: self._solved().a)
     b = property(lambda self: self._solved().b)
@@ -402,13 +416,14 @@ def layer_strip_detailed(
     A record's ``a_star_zero`` and ``solution_norm`` are ``1 / L_jj``,
     so a pivot below 1, which ``I + T T^H >= I`` rules out, fails
     ``check_contraction``.  Its ``residual`` is the gap
-    ``|L_jj^2 (1 - sum_{i <= j} |y_i|^2) - 1|`` of the pivot identity:
-    zero in exact arithmetic, it compares the pivots of the rotations
-    with the forward substitution.  It is not the system residual that
-    ``rh_solve`` reports.  Raises ``ConvergenceError`` if a gap exceeds
+    ``|1 - sum_{i <= j} |y_i|^2 - 1 / L_jj^2|`` of the pivot identity:
+    zero in exact arithmetic, it compares ``a_n*(0)^2`` from the forward
+    substitution with ``a_n*(0)^2`` from the pivots of the rotations.
+    It is not the system residual that ``rh_solve`` reports.  Raises ``ConvergenceError`` if a gap exceeds
     ``tol`` (a NaN fails too).  The fields ``a``, ``b``,
     ``tilde_a_star`` and ``tilde_b`` are solved by ``rh_solve``'s dense
-    routine when first read.
+    routine when first read; that solve gates its own residual and can
+    raise a ``NumericalError`` on a strip that succeeded.
     """
     lo, hi = int(support_window[0]), int(support_window[1])
     if hi < lo:
@@ -425,8 +440,8 @@ def layer_strip_detailed(
         b_lo = _b_lo(source)
         c = _window_coeffs(sys.sym_b_over_astar, b_lo, indices[-1])
         pivots, y = _schur_pass(c)
-        # a_n*(0)^2 two ways: 1 / L_jj^2 and 1 - sum_{i <= j} |y_i|^2
-        gaps = np.abs(pivots ** 2 * (1.0 - np.cumsum(np.abs(y) ** 2)) - 1.0)
+        # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
+        gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
         for n in indices:
             j = n - b_lo
             if j < 0:  # below b: the trivial solution x = (1, 0)

@@ -33,7 +33,6 @@ from su2nlft import (
     winding_number,
 )
 from su2nlft.core import _eval_samples
-from su2nlft.forward import _leaf_arrays, _normalized
 from su2nlft.spectral import require_outer
 
 
@@ -279,15 +278,18 @@ def small_a_star_zero_draws(count):
     return out
 
 
+def zero_free(pair):
+    """Whether ``a*`` has no zero in the closed disk."""
+    return bool(np.all(np.abs(np.roots(star_reflect(pair.a).coeffs[::-1]))
+                       > 1.0))
+
+
 def zero_free_draws(count):
     """The first ``count`` seeded draws of width 2-8 with ``|F_k| <= 2``
-    whose ``a*`` has no zero in the closed disk.
+    whose ``a*`` has no zero in the closed disk, with their transforms.
 
-    Most draws of this law have such a zero, so the candidates are
-    screened in one batch: ``a*`` comes from the forward factor
-    recursion, and its zeros are the reciprocals of the eigenvalues of
-    the companion matrix of the reversed polynomial, whose leading
-    coefficient ``a*(0)`` is positive.
+    Most draws of this law have such a zero; 40 candidates a draw are
+    enough for seed 0.
     """
     rng = np.random.default_rng(0)
     n = 40 * count
@@ -295,19 +297,36 @@ def zero_free_draws(count):
     los = rng.integers(-4, 5, size=n)
     vals = (2 * np.sqrt(rng.random((n, 8)))
             * np.exp(2j * np.pi * rng.random((n, 8))))
-    keep = np.zeros(n, dtype=bool)
-    for w in range(2, 9):
-        rows = np.flatnonzero(widths == w)
-        astar = _leaf_arrays(*_normalized(vals[rows, :w]))[:, 0]
-        companion = np.zeros((rows.size, w - 1, w - 1), dtype=np.complex128)
-        companion[:, 0] = -astar[:, 1:] / astar[:, :1]
-        companion[:, np.arange(1, w - 1), np.arange(w - 2)] = 1.0
-        roots_inv = np.abs(np.linalg.eigvals(companion))
-        keep[rows] = np.max(roots_inv, axis=1) < 1.0
-    picked = np.flatnonzero(keep)[:count]
-    assert picked.size == count
-    return [CoefficientSequence(int(los[i]), int(los[i] + widths[i]) - 1,
-                                vals[i, :widths[i]]) for i in picked]
+    kept = 0
+    for lo, w, v in zip(los, widths, vals):
+        F = CoefficientSequence(int(lo), int(lo + w) - 1, v[:w])
+        pair = nlft_forward(F)
+        if zero_free(pair):
+            yield F, pair
+            kept += 1
+            if kept == count:
+                return
+    raise AssertionError(f"{n} candidates give only {kept} draws")
+
+
+def large_potential_draws(count):
+    """Seeded draws of width 2-5 with one or two entries of modulus
+    ``10^1.5`` to ``10^3.5`` and the rest below 1, kept when
+    ``a*(0)^2 <= 1e-6`` and ``a*`` has no zero in the closed disk."""
+    rng = np.random.default_rng(1)
+    out = []
+    while len(out) < count:
+        w = int(rng.integers(2, 6))
+        lo = int(rng.integers(-3, 2))
+        mags = 10 ** rng.uniform(-4, 0, w)
+        big = rng.integers(w, size=int(rng.integers(1, 3)))
+        mags[big] = 10 ** rng.uniform(1.5, 3.5, big.size)
+        F = CoefficientSequence(lo, lo + w - 1,
+                                mags * np.exp(2j * np.pi * rng.random(w)))
+        pair = nlft_forward(F)
+        if np.real(pair.a.coefficient(0)) ** 2 <= 1e-6 and zero_free(pair):
+            out.append((F, pair))
+    return out
 
 
 def assert_strip_matches_single_solves(pair, window, n_points):
@@ -355,10 +374,9 @@ class TestSchurStripping:
 
     def test_zero_free_law_strips_or_stops_at_the_grid_cap(self):
         capped = 0
-        for F in zero_free_draws(1500):
+        for F, pair in zero_free_draws(1500):
             try:
-                got = layer_strip(nlft_forward(F),
-                                  (F.support_lo, F.support_hi))
+                got = layer_strip(pair, (F.support_lo, F.support_hi))
             except ConsistencyError as exc:
                 assert "largest grid" in str(exc)
                 capped += 1
@@ -367,6 +385,40 @@ class TestSchurStripping:
         # only a* zeros within about 5e-4 of the circle reach the cap;
         # a sequential draw of this law with seed 0 has 6 in 1,500
         assert capped <= 15
+
+    @pytest.mark.parametrize("F", [{0: 1e3}, {0: 1e4}, {-2: 3e3j},
+                                   {5: -700 + 700j}])
+    def test_single_large_value_strips(self, F):
+        F = seq(F)
+        got, records = layer_strip_detailed(nlft_forward(F),
+                                            (F.support_lo, F.support_hi))
+        assert max_abs_difference(got, F) <= 1e-12 * np.max(np.abs(F.coeffs))
+        assert max(r.residual for r in records) <= 1e-12
+
+    def test_large_potentials_strip_or_stop_at_the_grid_cap(self):
+        stripped = 0
+        for F, pair in large_potential_draws(10):
+            try:
+                got = layer_strip(pair, (F.support_lo, F.support_hi))
+            except ConsistencyError as exc:
+                # the fold measure's rounding floor, eps * max |b/a*|
+                assert "largest grid" in str(exc)
+                continue
+            stripped += 1
+            assert max_abs_difference(got, F) \
+                <= 1e-12 * np.max(np.abs(F.coeffs))
+        # five of these ten draws strip; the others reach the grid cap
+        assert stripped >= 5
+
+    def test_record_repr_runs_no_solve(self, monkeypatch):
+        _, records = layer_strip_detailed(TWO_POINT_PAIR, (-1, 1))
+
+        def fail(*args):
+            raise AssertionError("dense solve run")
+
+        monkeypatch.setattr(su2nlft.inverse, "_dense_solve", fail)
+        text = repr(records)
+        assert "a_star_zero=" in text and "tilde_b" not in text
 
     def test_wide_centred_round_trip_at_width_1024(self):
         F = random_instance(5, -512, 511)
