@@ -483,6 +483,21 @@ def _window_coeffs(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return c[np.arange(lo, hi + 1) % n_points]
 
 
+def _window_multiply(coeffs: np.ndarray, x: np.ndarray, in_lo: int,
+                     out_lo: int, out_hi: int) -> np.ndarray:
+    """Rows ``out_lo..out_hi`` of the grid product of a multiplier, given
+    by ``coeffs = fft(samples, norm="forward")``, with the columns of
+    ``x`` on rows ``in_lo, in_lo + 1, ...``: ``sum_k coeffs[(m - k) % N]
+    x_k``, a linear convolution with the segment of ``coeffs`` that
+    reaches the output, by FFTs of window size along axis 0."""
+    in_w, out_w = x.shape[0], out_hi - out_lo + 1
+    seg = coeffs[np.arange(out_lo - in_lo - in_w + 1, out_hi - in_lo + 1)
+                 % coeffs.size]
+    size = _power_of_two_at_least(out_w + in_w - 1)
+    prod = np.fft.fft(seg, size)[:, None] * np.fft.fft(x, size, axis=0)
+    return np.fft.ifft(prod, axis=0)[in_w - 1 : in_w - 1 + out_w]
+
+
 def from_grid(g: GridFunction, window: tuple[int, int]) -> CoefficientSequence:
     """Fourier coefficients of a grid function on an index window.
 

@@ -72,12 +72,10 @@ from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
-    _doubling_grid,
-    _eval_samples,
-    _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
     _window_coeffs,
+    _window_multiply,
     max_abs_difference,
     star_reflect,
     weighted_l1_norm,
@@ -89,7 +87,7 @@ from .errors import (
     ValidationError,
 )
 from .forward import CLAMP_TOL, nlft_forward
-from .spectral import grid_quotient, outer_complement
+from .spectral import _b_lo, _symbol_samples, grid_quotient, outer_complement
 
 logger = logging.getLogger(__name__)
 
@@ -112,10 +110,6 @@ DEFAULT_SOLVER_TOL = 1e-12
 IMAG_TOL = 1e-10  # allowed imaginary leakage in the leading solution entry
 
 
-def _b_lo(pair: NlftPair) -> int:
-    return pair.b.support_lo if not pair.b.is_empty else 0
-
-
 @dataclass(eq=False)
 class RhSystem:
     """Truncated Riemann-Hilbert system at one truncation index.
@@ -123,8 +117,9 @@ class RhSystem:
     Immutable after construction.  ``sym_b_over_astar`` and
     ``sym_bstar_over_a`` are grid samples of the symbols appearing in the
     two blocks of ``M``.  ``apply_m`` acts on the coefficient windows
-    ``[0, bandwidth)`` and ``(n - bandwidth, n]``; ``rh_solve`` reads
-    only ``sym_b_over_astar``.
+    ``[0, bandwidth)`` and ``(n - bandwidth, n]``, each block as a
+    window-sized convolution by the grid coefficients of its symbol;
+    ``rh_solve`` reads only ``sym_b_over_astar``.
     """
 
     pair: NlftPair
@@ -142,8 +137,6 @@ class RhSystem:
             raise GridSizeError(
                 f"bandwidth {w} needs a grid larger than {self.n_points}"
             )
-        self._idx_plus = np.arange(0, w) % self.n_points
-        self._idx_low = np.arange(self.n - w + 1, self.n + 1) % self.n_points
 
     @property
     def window_plus(self) -> tuple[int, int]:
@@ -164,40 +157,22 @@ class RhSystem:
         """Assemble the system for one truncation index of a validated pair.
 
         Without ``n_points`` the grid doubles from ``2 * bandwidth`` until
-        ``b/a*`` has no coefficient above ``CLAMP_TOL`` on the top half
-        ``[lo(b) + N/2, lo(b) + N)`` of its index range, which folds back.
+        ``b/a*`` no longer folds (``spectral._symbol_samples``).
         """
-        b_lo = _b_lo(pair)
-        bandwidth = max(bandwidth or 1, n - b_lo + 2, pair.b.width + 1)
-
-        def b_over_astar(grid):
-            av = _nonvanishing(_eval_samples(pair.a, grid), "a")
-            return _eval_samples(pair.b, grid) / np.conj(av)  # b / a* on the circle
-
-        def folded(grid):
-            t = b_over_astar(grid)
-            top = _window_coeffs(t, b_lo + grid // 2, b_lo + grid - 1)
-            return float(np.max(np.abs(top))), t
-
-        if n_points is None:
-            start = _power_of_two_at_least(max(2 * bandwidth, pair.a.width + 1))
-            n_points, t = _doubling_grid(start, folded, CLAMP_TOL,
-                                         "coefficients of b/a* folded by the grid")
-        else:
-            t = b_over_astar(n_points)
+        bandwidth = max(bandwidth or 1, n - _b_lo(pair) + 2, pair.b.width + 1)
+        n_points, t = _symbol_samples(pair, n_points, _power_of_two_at_least(
+            max(2 * bandwidth, pair.a.width + 1)))
         return cls(pair, n, n_points, bandwidth, t, np.conj(t))
 
 
 def _apply_m_vec(sys: RhSystem, x1: np.ndarray, x2: np.ndarray):
-    """Raw windowed application of M; the 1/N factors of the two
-    transforms cancel, so none appear."""
-    n = sys.n_points
-    spec = np.zeros(n, dtype=np.complex128)
-    spec[sys._idx_low] = x2
-    y1 = np.fft.fft(np.fft.ifft(spec) * sys.sym_bstar_over_a)[sys._idx_plus]
-    spec = np.zeros(n, dtype=np.complex128)
-    spec[sys._idx_plus] = x1
-    y2 = -np.fft.fft(np.fft.ifft(spec) * sys.sym_b_over_astar)[sys._idx_low]
+    """``M`` applied to the columns of ``x1`` on ``window_plus`` and
+    ``x2`` on ``window_low`` (see ``apply_m``)."""
+    (lo1, hi1), (lo2, hi2) = sys.window_plus, sys.window_low
+    y1 = _window_multiply(np.fft.fft(sys.sym_bstar_over_a, norm="forward"),
+                          x2, lo2, lo1, hi1)
+    y2 = -_window_multiply(np.fft.fft(sys.sym_b_over_astar, norm="forward"),
+                           x1, lo1, lo2, hi2)
     return y1, y2
 
 
@@ -216,13 +191,18 @@ def _embed(seq: CoefficientSequence, lo: int, hi: int) -> np.ndarray:
 def apply_m(
     sys: RhSystem, x: tuple[CoefficientSequence, CoefficientSequence]
 ) -> tuple[CoefficientSequence, CoefficientSequence]:
-    """Apply the block operator ``M`` to a windowed coefficient pair."""
+    """Apply the block operator ``M`` to a windowed coefficient pair.
+
+    Each block is a window-sized convolution by the grid coefficients of
+    its symbol (``core._window_multiply``), not a transform of the grid.
+    """
     lo1, hi1 = sys.window_plus
     lo2, hi2 = sys.window_low
-    y1, y2 = _apply_m_vec(sys, _embed(x[0], lo1, hi1), _embed(x[1], lo2, hi2))
+    y1, y2 = _apply_m_vec(sys, _embed(x[0], lo1, hi1)[:, None],
+                          _embed(x[1], lo2, hi2)[:, None])
     return (
-        CoefficientSequence(lo1, hi1, y1).trim(),
-        CoefficientSequence(lo2, hi2, y2).trim(),
+        CoefficientSequence(lo1, hi1, y1[:, 0]).trim(),
+        CoefficientSequence(lo2, hi2, y2[:, 0]).trim(),
     )
 
 

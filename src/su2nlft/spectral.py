@@ -35,6 +35,7 @@ from .core import (
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
+    _window_coeffs,
     from_grid,
     star_reflect,
     to_grid,
@@ -46,6 +47,7 @@ from .errors import (
     ValidationError,
     VanishingSymbolError,
 )
+from .forward import CLAMP_TOL
 
 logger = logging.getLogger(__name__)
 
@@ -222,15 +224,44 @@ def grid_quotient(
     return from_grid(GridFunction(n_points, nv / dv), window)
 
 
+def _b_lo(pair: NlftPair) -> int:
+    return pair.b.support_lo if not pair.b.is_empty else 0
+
+
+def _symbol_samples(pair: NlftPair, n_points: int | None,
+                    start: int) -> tuple[int, np.ndarray]:
+    """``(N, samples of b/a*)`` on ``N = n_points``, or else on the first
+    grid doubling from ``start`` on which ``b/a*`` has no coefficient
+    above ``CLAMP_TOL`` on the top half ``[lo(b) + N/2, lo(b) + N)`` of
+    its index range, which folds back (``ConsistencyError`` past
+    ``core.MAX_GRID``)."""
+    lo = _b_lo(pair)
+
+    def sampled(grid):
+        av = _nonvanishing(_eval_samples(pair.a, grid), "a")
+        return _eval_samples(pair.b, grid) / np.conj(av)
+
+    def folded(grid):
+        t = sampled(grid)
+        top = _window_coeffs(t, lo + grid // 2, lo + grid - 1)
+        return float(np.max(np.abs(top))), t
+
+    if n_points is not None:
+        return n_points, sampled(n_points)
+    return _doubling_grid(start, folded, CLAMP_TOL,
+                          "coefficients of b/a* folded by the grid")
+
+
 def _full_symbol_ratio(
     pair: NlftPair, n_points: int | None = None
 ) -> CoefficientSequence:
-    """``b / a*`` on every index the grid resolves from ``lo(b)`` on."""
-    if n_points is None:
-        n_points = _pair_grid(pair)
-    lo = pair.b.support_lo if not pair.b.is_empty else 0
-    return grid_quotient(pair.b, star_reflect(pair.a), n_points,
-                         (lo, lo + n_points - 2))
+    """``b / a*`` on the ``N - 1`` indices from ``lo(b)`` on that its
+    grid resolves; without ``n_points``, ``N`` doubles from the pair
+    grid (see ``_symbol_samples``)."""
+    n_points, t = _symbol_samples(pair, n_points, _pair_grid(pair))
+    lo = _b_lo(pair)
+    return CoefficientSequence(lo, lo + n_points - 2,
+                               _window_coeffs(t, lo, lo + n_points - 2))
 
 
 def symbol_ratio(
@@ -243,7 +274,8 @@ def symbol_ratio(
     The ratio is supported on ``[support_lo(b), inf)``; with
     ``window=None`` the window starts there and is grown until the
     remaining tail mass (as far as the grid resolves it) drops below
-    1e-10, starting from the baseline width ``4 * width(b)``.
+    1e-10, starting from the baseline width ``4 * width(b)``.  Without
+    ``n_points`` the grid doubles until the ratio no longer folds.
     """
     b = pair.b
     if b.is_empty:

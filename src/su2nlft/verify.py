@@ -11,6 +11,11 @@ and returns a small record.  Checks come in three kinds:
   instance, so nothing is asserted.
 
 ``run_suite`` composes everything, including a full inverse round trip.
+
+The LU and antisymmetry checks apply grid multipliers to random
+windowed probes as window-sized convolutions by the multipliers' grid
+coefficients (``core._window_multiply``), batched as columns; no probe
+transforms the whole grid.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .core import (
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
-    _window_coeffs,
+    _window_multiply,
     derivative,
     max_abs_difference,
     sobolev_norm,
@@ -44,8 +49,8 @@ from .errors import (
     VanishingSymbolError,
 )
 from .forward import nlft_forward
-from .inverse import RhSystem, _apply_m_vec, _b_lo, inverse_nlft_detailed
-from .spectral import _full_symbol_ratio, grid_quotient
+from .inverse import RhSystem, _apply_m_vec, inverse_nlft_detailed
+from .spectral import _b_lo, _full_symbol_ratio, grid_quotient
 
 logger = logging.getLogger(__name__)
 
@@ -328,15 +333,16 @@ def check_decay_fractional(F: CoefficientSequence, pair: NlftPair, s: float,
                             max(1, ||(b/a*)'||_inf^ceil(s))].
 
     The estimate's absolute constant is unspecified, so the max ratio is
-    recorded without a pass/fail gate.
+    recorded without a pass/fail gate.  Without ``n_points`` the grid
+    doubles as in ``decay_table``, and the derivative is sampled on it.
     """
     if s < 1:
         raise ValidationError("fractional decay needs s >= 1")
-    if n_points is None:
-        n_points = _pair_grid(pair)
     ratio = _full_symbol_ratio(pair, n_points)
     hs = sobolev_norm(ratio, s)
-    deriv_inf = float(np.max(np.abs(_eval_samples(derivative(ratio), n_points))))
+    # the ratio spans N - 1 indices of its N-point grid
+    deriv_inf = float(np.max(np.abs(_eval_samples(derivative(ratio),
+                                                  ratio.width + 1))))
     a0 = _a_star_zero(pair)
     denom = a0 * (1.0 + hs) * max(1.0, deriv_inf) ** math.ceil(s)
     worst = 0.0
@@ -417,19 +423,6 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
 # ---------------------------------------------------------------------------
 
 
-def _window_vec_norm(samples: np.ndarray, lo: int, hi: int) -> float:
-    return float(np.linalg.norm(_window_coeffs(samples, lo, hi)))
-
-
-def _random_window(rng, lo: int, hi: int, n_points: int) -> np.ndarray:
-    """Samples of a random coefficient vector supported on [lo, hi]."""
-    width = hi - lo + 1
-    vec = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-    spec = np.zeros(n_points, dtype=np.complex128)
-    spec[np.arange(lo, hi + 1) % n_points] = vec
-    return np.fft.ifft(spec) * n_points, float(np.linalg.norm(vec))
-
-
 def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
                            tol: float = LU_TOL, seed: int = 0) -> CheckRecord:
     """Pointwise LU identities and the vanishing operator compositions.
@@ -440,6 +433,9 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     compositions with the split projections at the midpoint ``n`` of the
     support of ``b``, all on four rounds of random windowed probes.  The
     record value is the worst residual.
+
+    The rounds of a probe run as one batch of window-sized convolutions
+    (see the module docstring); zero entries are skipped.
 
     The compositions vanish exactly only for the bi-infinite symbols;
     on a grid the tails of 1/a alias into the forbidden windows, so the
@@ -453,81 +449,76 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     bstar = np.conj(bv)
     one = np.ones(n_points, dtype=np.complex128)
     zero = np.zeros(n_points, dtype=np.complex128)
+    inv_a, inv_astar = 1.0 / av, 1.0 / astar
+    bstar_a, neg_b_astar = bstar / av, -bv / astar
 
-    C = [[one, bstar / av], [-bv / astar, one]]
-    L = [[1.0 / av, bstar / av], [zero, one]]
-    U = [[1.0 / astar, zero], [-bv / astar, one]]
-    Lt = [[one, bstar / av], [zero, 1.0 / av]]
-    Ut = [[one, zero], [-bv / astar, 1.0 / astar]]
+    C = [[one, bstar_a], [neg_b_astar, one]]
+    L = [[inv_a, bstar_a], [zero, one]]
+    U = [[inv_astar, zero], [neg_b_astar, one]]
+    Lt = [[one, bstar_a], [zero, inv_a]]
+    Ut = [[one, zero], [neg_b_astar, inv_astar]]
     L_inv = [[av, -bstar], [zero, one]]
     U_inv = [[astar, zero], [bv, one]]
     Lt_inv = [[one, -bstar], [zero, av]]
     Ut_inv = [[one, zero], [bv, astar]]
 
-    def matmul(X, Y):
-        return [
-            [X[0][0] * Y[0][0] + X[0][1] * Y[1][0],
-             X[0][0] * Y[0][1] + X[0][1] * Y[1][1]],
-            [X[1][0] * Y[0][0] + X[1][1] * Y[1][0],
-             X[1][0] * Y[0][1] + X[1][1] * Y[1][1]],
-        ]
+    def residual(X, Y, Z):  # max over the grid of |X - Y Z|, entrywise
+        return max(float(np.max(np.abs(
+            X[i][j] - (Y[i][0] * Z[0][j] + Y[i][1] * Z[1][j]))))
+            for i in range(2) for j in range(2))
 
-    def mat_residual(X, Y):
-        return max(
-            float(np.max(np.abs(X[i][j] - Y[i][j]))) for i in range(2) for j in range(2)
-        )
-
-    res_lu = mat_residual(C, matmul(L, U))
-    res_ul = mat_residual(C, matmul(Ut, Lt))
+    res_lu = residual(C, L, U)
+    res_ul = residual(C, Ut, Lt)
 
     n = (pair.b.support_lo + pair.b.support_hi) // 2 if not pair.b.is_empty else 0
     n_probes = 4
     k = max(pair.a.width, pair.b.width, 8)
     if 4 * k + 2 * abs(n) >= n_points:
         k = max((n_points - 2 * abs(n)) // 4 - 1, 4)
+    half = n_points // 2 - 1
+    # (T, input windows, output windows); None is an absent component
+    lower = ((-k, -1), None), ((0, k), (-half, half))
+    upper = ((0, k), (-k, k)), ((-k - 1, -1), None)
+    split_in = ((0, k), (n - k, n)), (None, (n + 1, n + 1 + k))
+    split_out = (None, (n + 1, n + 1 + k)), ((0, k), (n - k, n))
+    probes = (
+        # triangularity: lower family mapped through the negative window
+        [(T, *lower) for T in (L, L_inv, Lt, Lt_inv)]
+        # upper family against the complementary projection
+        + [(T, *upper) for T in (U, U_inv, Ut, Ut_inv)]
+        # split-projection compositions at truncation n
+        + [(Lt, *split_in), (Lt_inv, *split_in),
+           (Ut, *split_out), (Ut_inv, *split_out)]
+    )
     rng = np.random.default_rng(seed)
 
-    def apply_entries(T, x1, x2):
-        a11, a12 = T[0]
-        a21, a22 = T[1]
-        u1 = x1 if x1 is not None else zero
-        u2 = x2 if x2 is not None else zero
-        return a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
+    def draw(window):
+        width = window[1] - window[0] + 1
+        return rng.standard_normal(width) + 1j * rng.standard_normal(width)
+
+    # round by round, probe by probe, input by input
+    rounds = [[[draw(w) if w else None for w in ins] for _, ins, _ in probes]
+              for _ in range(n_probes)]
+    coeffs = {}  # grid coefficients of each symbol a probe reads
+
+    def coef(sym):
+        if id(sym) not in coeffs:
+            coeffs[id(sym)] = np.fft.fft(sym, norm="forward")
+        return coeffs[id(sym)]
 
     worst_probe = 0.0
-
-    def probe(T, in1, in2, out1, out2):
-        """One random application; windows given as (lo, hi) or None."""
-        nonlocal worst_probe
-        norm_in_sq = 0.0
-        x1 = x2 = None
-        if in1 is not None:
-            x1, nrm = _random_window(rng, in1[0], in1[1], n_points)
-            norm_in_sq += nrm**2
-        if in2 is not None:
-            x2, nrm = _random_window(rng, in2[0], in2[1], n_points)
-            norm_in_sq += nrm**2
-        y1, y2 = apply_entries(T, x1, x2)
+    for p, (T, ins, outs) in enumerate(probes):
+        xs = [np.stack([r[p][j] for r in rounds], axis=1) if w else None
+              for j, w in enumerate(ins)]
+        in_sq = sum(np.sum(np.abs(x) ** 2, axis=0) for x in xs if x is not None)
         out_sq = 0.0
-        if out1 is not None:
-            out_sq += _window_vec_norm(y1, out1[0], out1[1]) ** 2
-        if out2 is not None:
-            out_sq += _window_vec_norm(y2, out2[0], out2[1]) ** 2
-        worst_probe = max(worst_probe, math.sqrt(out_sq / norm_in_sq))
-
-    half = n_points // 2 - 1
-    for _ in range(n_probes):
-        # triangularity: lower family mapped through the negative window
-        for T in (L, L_inv, Lt, Lt_inv):
-            probe(T, (-k, -1), None, (0, k), (-half, half))
-        # upper family against the complementary projection
-        for T in (U, U_inv, Ut, Ut_inv):
-            probe(T, (0, k), (-k, k), (-k - 1, -1), None)
-        # split-projection compositions at truncation n
-        probe(Lt, (0, k), (n - k, n), None, (n + 1, n + 1 + k))
-        probe(Lt_inv, (0, k), (n - k, n), None, (n + 1, n + 1 + k))
-        probe(Ut, None, (n + 1, n + 1 + k), (0, k), (n - k, n))
-        probe(Ut_inv, None, (n + 1, n + 1 + k), (0, k), (n - k, n))
+        for row, out in zip(T, outs):
+            terms = [_window_multiply(coef(sym), x, w[0], *out)
+                     for sym, x, w in zip(row, xs, ins)
+                     if out and x is not None and sym is not zero]
+            if terms:
+                out_sq = out_sq + np.sum(np.abs(sum(terms)) ** 2, axis=0)
+        worst_probe = max(worst_probe, float(np.max(np.sqrt(out_sq / in_sq))))
 
     value = max(res_lu, res_ul, worst_probe)
     return CheckRecord(
@@ -539,7 +530,7 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
         value=value,
         passed=value <= tol,
         tolerance=tol,
-        detail=f"n={n} probes={n_probes}",
+        detail=f"n={n} probes={n_probes} grid={n_points}",
     )
 
 
@@ -551,7 +542,11 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
 def check_antisymmetry(pair: NlftPair, n: int | None = None,
                        n_points: int | None = None, n_probes: int = 20,
                        seed: int = 0, tol: float = ANTISYM_TOL) -> CheckRecord:
-    """``|<Mx, y> + <x, My>| <= tol ||x|| ||y||`` on random probe pairs."""
+    """``|<Mx, y> + <x, My>| <= tol ||x|| ||y||`` on random probe pairs.
+
+    The probes run as one batch through ``apply_m``'s convolutions; each
+    block reads its own symbol, so neither is derived from the other.
+    """
     if n is None:
         n = pair.b.support_hi if not pair.b.is_empty else 0
     # M is skew on any grid that holds its windows, resolved or not
@@ -559,25 +554,26 @@ def check_antisymmetry(pair: NlftPair, n: int | None = None,
         _pair_grid(pair), _power_of_two_at_least(2 * (n - _b_lo(pair) + 2))))
     w = sys.bandwidth
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        x = rng.standard_normal(2 * w) + 1j * rng.standard_normal(2 * w)
-        y = rng.standard_normal(2 * w) + 1j * rng.standard_normal(2 * w)
-        mx = np.concatenate(_apply_m_vec(sys, x[:w], x[w:]))
-        my = np.concatenate(_apply_m_vec(sys, y[:w], y[w:]))
-        # <u, v> = sum u conj(v)
-        s = np.vdot(y, mx) + np.vdot(my, x)
-        worst = max(worst, abs(s) / (np.linalg.norm(x) * np.linalg.norm(y)))
+    # columns x_0, y_0, x_1, y_1, ... in the order they are drawn
+    v = np.stack([rng.standard_normal(2 * w) + 1j * rng.standard_normal(2 * w)
+                  for _ in range(2 * n_probes)], axis=1)
+    mv = np.concatenate(_apply_m_vec(sys, v[:w], v[w:]))
+    x, y, mx, my = v[:, 0::2], v[:, 1::2], mv[:, 0::2], mv[:, 1::2]
+    # <u, v> = sum u conj(v)
+    s = np.sum(np.conj(y) * mx + np.conj(my) * x, axis=0)
+    worst = float(np.max(
+        np.abs(s) / (np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0)),
+        initial=0.0))
     return CheckRecord(
         name="antisymmetry",
         anchor="rh_antisymmetry",
         kind=HARD,
         lhs=worst,
         rhs=0.0,
-        value=float(worst),
+        value=worst,
         passed=worst <= tol,
         tolerance=tol,
-        detail=f"n={n} probes={n_probes}",
+        detail=f"n={n} probes={n_probes} grid={sys.n_points}",
     )
 
 
@@ -632,7 +628,8 @@ def decay_table(F: CoefficientSequence, pair: NlftPair | None = None,
     """Rows ``(n, |F_n|, first_order_rhs)`` over the support of ``F``.
 
     The rhs column is ``None`` at ``n = 0``, where the first-order bound
-    says nothing.
+    says nothing.  Without ``n_points`` the grid of ``b/a*`` doubles as
+    in ``RhSystem.build`` (``ConsistencyError`` past ``core.MAX_GRID``).
     """
     if pair is None:
         pair = nlft_forward(F)
@@ -726,8 +723,9 @@ def run_suite(
     included) or the datum ``b`` (inverse direction first; the checks
     then run on the recovered sequence).  Hard-check failures and
     numerical errors flip the overall flag; monitored ratios never do.
-    ``metadata["grid"]`` is the grid of the determinant and decay checks;
-    the plancherel record names its own.
+    ``metadata["grid"]`` is the grid of the determinant check, and of the
+    decay checks when ``n_points`` is given; the plancherel, LU and
+    antisymmetry records name their own.
     """
     if (F is None) == (b is None):
         raise ValidationError("provide exactly one of F or b")
@@ -787,7 +785,7 @@ def run_suite(
         report.records.append(check_decay_first_order(F, pair, n_points))
         for s in sobolev_orders:
             report.records.append(check_decay_fractional(F, pair, s, n_points))
-    except VanishingSymbolError as exc:
+    except NumericalError as exc:
         report.records.append(
             _error_record("decay", "first_order_decay_bound", exc))
     for w in weights:

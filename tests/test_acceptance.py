@@ -246,6 +246,37 @@ def test_criterion_10_lu_factorization(ensemble):
     assert worst <= 1e-11
 
 
+def _full_grid_multiply(coeffs, x, in_lo, out_lo, out_hi):
+    """Reference for ``core._window_multiply``: embed the input window on
+    the grid, multiply by the samples and read the output window back."""
+    n = coeffs.size
+    spec = np.zeros((n, x.shape[1]), dtype=np.complex128)
+    spec[np.arange(in_lo, in_lo + x.shape[0]) % n] = x
+    samples = np.fft.ifft(coeffs, norm="forward")[:, None]
+    y = np.fft.fft(np.fft.ifft(spec, axis=0) * samples, axis=0)
+    return y[np.arange(out_lo, out_hi + 1) % n]
+
+
+def test_operator_probes_match_the_full_grid_route(ensemble, monkeypatch):
+    def records():
+        return [(check_lu_factorization(pair, seed=i),
+                 check_antisymmetry(pair, seed=i))
+                for i, (_, pair) in enumerate(ensemble)]
+
+    windowed = records()
+    for module in ("su2nlft.verify", "su2nlft.inverse"):
+        monkeypatch.setattr(f"{module}._window_multiply", _full_grid_multiply)
+    worst = 0.0
+    for got, ref in zip(windowed, records()):
+        for g, r in zip(got, ref):
+            assert (g.kind, g.passed, g.tolerance) == (r.kind, r.passed,
+                                                       r.tolerance)
+            worst = max(worst, abs(g.value - r.value))
+    print(f"[operator probes] max difference from the full-grid route "
+          f"{worst:.3e}")
+    assert worst <= 1e-15
+
+
 def test_criterion_11_weighted_solvability(ensemble, truncation_run):
     weights = [BeurlingWeight.one(), BeurlingWeight.polynomial(1.0)]
     unit = CoefficientSequence.from_dict({0: 1.0})

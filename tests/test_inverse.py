@@ -72,6 +72,42 @@ class TestApplyM:
         with pytest.raises(GridSizeError):
             RhSystem.build(TWO_POINT_PAIR, 0, n_points=8, bandwidth=8)
 
+    def test_matches_the_full_grid_route(self):
+        def full_grid(sys, x1, x2):
+            # embed each window on the grid, multiply the samples by the
+            # block's symbol and read the other window back
+            n = sys.n_points
+            idx_plus = np.arange(0, sys.bandwidth) % n
+            idx_low = np.arange(sys.n - sys.bandwidth + 1, sys.n + 1) % n
+            spec = np.zeros(n, dtype=np.complex128)
+            spec[idx_low] = x2
+            y1 = np.fft.fft(np.fft.ifft(spec) * sys.sym_bstar_over_a)[idx_plus]
+            spec = np.zeros(n, dtype=np.complex128)
+            spec[idx_plus] = x1
+            y2 = -np.fft.fft(np.fft.ifft(spec) * sys.sym_b_over_astar)[idx_low]
+            return y1, y2
+
+        rng = np.random.default_rng(5)
+        cases = [(TWO_POINT_PAIR, n, None) for n in (-3, 0, 1, 4)]
+        for seed, (lo, hi) in enumerate([(-3, 5), (2, 9), (-8, -1)]):
+            pair = nlft_forward(random_instance(seed, lo, hi))
+            # n < lo(b) and windows that cross index 0, so wrap the grid
+            cases += [(pair, n, grid)
+                      for n in (lo - 2, lo, (lo + hi) // 2, hi, hi + 3)
+                      for grid in (None, 64)]
+        for pair, n, grid in cases:
+            sys = RhSystem.build(pair, n, grid)
+            w = sys.bandwidth
+            x1, x2 = (rng.standard_normal(w) + 1j * rng.standard_normal(w)
+                      for _ in range(2))
+            y1, y2 = apply_m(sys, (CoefficientSequence(*sys.window_plus, x1),
+                                   CoefficientSequence(*sys.window_low, x2)))
+            r1, r2 = full_grid(sys, x1, x2)
+            assert max_abs_difference(
+                y1, CoefficientSequence(*sys.window_plus, r1)) <= 1e-14
+            assert max_abs_difference(
+                y2, CoefficientSequence(*sys.window_low, r2)) <= 1e-14
+
 
 class TestRhSolve:
     def test_truncation_at_zero(self):

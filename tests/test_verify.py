@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,9 @@ import pytest
 from su2nlft import (
     BeurlingWeight,
     CoefficientSequence,
+    ConsistencyError,
     NlftPair,
+    RhSystem,
     SzegoMarginError,
     ValidationError,
     VanishingSymbolError,
@@ -40,6 +43,19 @@ SINGULAR_PAIR = nlft_forward(SINGULAR)
 
 def tampered_pair():
     return NlftPair(TWO_POINT_PAIR.a.scale(1.1), TWO_POINT_PAIR.b, 0.0)
+
+
+def _full_grid_transform_spy(monkeypatch, n_points):
+    """Record the calls of ``np.fft.fft``/``ifft`` that span ``n_points``."""
+    lengths = []
+    for name in ("fft", "ifft"):
+        def spy(a, *args, _orig=getattr(np.fft, name), **kwargs):
+            out = _orig(a, *args, **kwargs)
+            if out.shape[-1] == n_points:
+                lengths.append(out.shape)
+            return out
+        monkeypatch.setattr(np.fft, name, spy)
+    return lengths
 
 
 class TestDeterminant:
@@ -132,6 +148,16 @@ class TestDecay:
         with pytest.raises(ValidationError):
             check_decay_fractional(TWO_POINT, TWO_POINT_PAIR, 0.5)
 
+    def test_default_grid_resolves_the_ratio(self):
+        # the width-sized grid aliased b/a* here: the bound at n = 1 read
+        # 45.53 on 32 points against 46.82 on resolving grids
+        F = seq({0: -1.1614 - 0.8551j, 1: -0.618 - 0.1709j})
+        pair = nlft_forward(F)
+        resolved = decay_table(F, pair, n_points=2 ** 16)[1][2]
+        assert decay_table(F, pair)[1][2] == pytest.approx(resolved, abs=1e-9)
+        rec = check_decay_first_order(F, pair)
+        assert rec.rhs == pytest.approx(resolved, abs=1e-9)
+
 
 class TestQuantitativeBaxter:
     def test_inapplicable_when_b_norm_large(self):
@@ -168,11 +194,47 @@ class TestLuFactorization:
         rec = check_lu_factorization(tampered_pair())
         assert not rec.passed
 
+    def test_probes_catch_a_shifted_a(self):
+        # |a| is unchanged on the circle, so the pointwise identities
+        # hold, but a*(0) = 0 breaks the triangular structure; the value
+        # is that of the full-grid probes with the same draws
+        pair = NlftPair(TWO_POINT_PAIR.a.shift(-1), TWO_POINT_PAIR.b, 0.0)
+        rec = check_lu_factorization(pair)
+        assert rec.lhs <= 1e-14
+        assert rec.rhs > 0.1 and not rec.passed
+        assert rec.rhs == pytest.approx(0.424400444614404, abs=1e-12)
+
+    def test_probes_take_no_full_grid_transform(self, monkeypatch):
+        lengths = _full_grid_transform_spy(monkeypatch, 1024)
+        rec = check_lu_factorization(TWO_POINT_PAIR, n_points=1024)
+        assert rec.passed
+        # samples of a and b, and coefficients of the five probed symbols
+        # 1/a, a, 1, 1/a*, a*: none per probe
+        assert len(lengths) == 7
+
 
 class TestOperatorChecks:
     def test_antisymmetry(self):
         rec = check_antisymmetry(TWO_POINT_PAIR, n_probes=20)
         assert rec.passed and rec.value < 1e-12
+
+    def test_antisymmetry_detects_a_block_off_its_adjoint(self, monkeypatch):
+        build = RhSystem.build
+
+        def skewed(pair, n, n_points=None, bandwidth=None):
+            sys = build(pair, n, n_points, bandwidth)
+            return dataclasses.replace(
+                sys, sym_bstar_over_a=1.01 * np.conj(sys.sym_b_over_astar))
+
+        monkeypatch.setattr(RhSystem, "build", skewed)
+        assert not check_antisymmetry(TWO_POINT_PAIR).passed
+
+    def test_antisymmetry_takes_no_full_grid_transform(self, monkeypatch):
+        lengths = _full_grid_transform_spy(monkeypatch, 1024)
+        rec = check_antisymmetry(TWO_POINT_PAIR, n_points=1024)
+        assert rec.passed
+        # samples of a and b, and coefficients of the two block symbols
+        assert len(lengths) == 4
 
     def test_round_trip_and_contraction(self):
         rt, contraction = check_round_trip(TWO_POINT, TWO_POINT_PAIR)
@@ -235,6 +297,16 @@ class TestRunSuite:
     def test_metadata_reports_resolved_grid(self):
         assert run_suite(F=TWO_POINT).metadata["grid"] == default_grid_size(2)
         assert run_suite(F=TWO_POINT, n_points=64).metadata["grid"] == 64
+
+    def test_decay_grid_at_the_cap_is_an_error_record(self, monkeypatch):
+        def capped(*args, **kwargs):
+            raise ConsistencyError("b/a* still folds on the largest grid")
+
+        monkeypatch.setattr("su2nlft.verify._full_symbol_ratio", capped)
+        report = run_suite(F=TWO_POINT)
+        decay = [r for r in report.records if r.name == "decay"]
+        assert decay[0].kind == "error" and not report.overall_pass
+        assert "ConsistencyError" in decay[0].detail
 
     def test_vanishing_symbol_in_lu_check_is_an_error_record(self,
                                                             monkeypatch):
