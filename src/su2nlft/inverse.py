@@ -72,7 +72,6 @@ from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
-    _pair_grid,
     _power_of_two_at_least,
     _window_coeffs,
     _window_multiply,
@@ -87,7 +86,8 @@ from .errors import (
     ValidationError,
 )
 from .forward import CLAMP_TOL, nlft_forward
-from .spectral import _b_lo, _symbol_samples, grid_quotient, outer_complement
+from .spectral import (_b_lo, _ratio_grid, _symbol_samples, grid_quotient,
+                       outer_complement)
 
 logger = logging.getLogger(__name__)
 
@@ -527,34 +527,29 @@ def solvability_certificate(
 
     Values below 1/2 certify the weighted invertibility of the truncated
     system at ``n``.  The norm is computed over the full index range the
-    grid resolves.
+    grid resolves.  Without ``n_points`` the grid is the one on which
+    ``b/a*`` stops folding (``spectral._ratio_grid``).
     """
     tail = pair.b.restrict(n + 1, pair.b.support_hi)
     if tail.is_empty:
         return 0.0
-    if n_points is None:
-        n_points = 4 * _pair_grid(pair)
+    n_points = n_points or _ratio_grid(pair)
     q = grid_quotient(tail, star_reflect(pair.a), n_points,
                       (n + 1, n + n_points - 1))
     return weighted_l1_norm(q, w)
 
 
-def first_certified_index(
-    pair: NlftPair,
-    w: BeurlingWeight,
-    n_points: int | None = None,
-    search_window: tuple[int, int] | None = None,
-) -> int | None:
-    """Smallest ``n`` in the window whose certificate is below 1/2.
+def first_certified_index(pair: NlftPair, w: BeurlingWeight) -> int | None:
+    """Smallest ``n`` in ``[lo(b) - 1, hi(b)]`` whose certificate is
+    below 1/2, on one ``_ratio_grid`` for the whole scan.
 
     No minimality over all integers is claimed; the certificate is just
     scanned left to right.
     """
-    if search_window is None:
-        if pair.b.is_empty:
-            return None
-        search_window = (pair.b.support_lo - 1, pair.b.support_hi)
-    for n in range(search_window[0], search_window[1] + 1):
+    if pair.b.is_empty:
+        return None
+    n_points = _ratio_grid(pair)
+    for n in range(pair.b.support_lo - 1, pair.b.support_hi + 1):
         if solvability_certificate(pair, n, w, n_points) < 0.5:
             return n
     return None

@@ -252,12 +252,17 @@ def _symbol_samples(pair: NlftPair, n_points: int | None,
                           "coefficients of b/a* folded by the grid")
 
 
+def _ratio_grid(pair: NlftPair) -> int:
+    """The grid, doubled from the pair grid, on which ``b/a*`` stops
+    folding (see ``_symbol_samples``)."""
+    return _symbol_samples(pair, None, _pair_grid(pair))[0]
+
+
 def _full_symbol_ratio(
     pair: NlftPair, n_points: int | None = None
 ) -> CoefficientSequence:
     """``b / a*`` on the ``N - 1`` indices from ``lo(b)`` on that its
-    grid resolves; without ``n_points``, ``N`` doubles from the pair
-    grid (see ``_symbol_samples``)."""
+    grid resolves; without ``n_points``, ``N`` is ``_ratio_grid``."""
     n_points, t = _symbol_samples(pair, n_points, _pair_grid(pair))
     lo = _b_lo(pair)
     return CoefficientSequence(lo, lo + n_points - 2,

@@ -49,8 +49,9 @@ from .errors import (
     VanishingSymbolError,
 )
 from .forward import nlft_forward
-from .inverse import RhSystem, _apply_m_vec, inverse_nlft_detailed
-from .spectral import _b_lo, _full_symbol_ratio, grid_quotient
+from .inverse import (RhSystem, _apply_m_vec, inverse_nlft_detailed,
+                      reflect_pair)
+from .spectral import _b_lo, _full_symbol_ratio, _ratio_grid
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +87,7 @@ ANTISYM_TOL = 1e-12
 CONTRACTION_SLACK = 1e-12
 ROUND_TRIP_TOL = 1e-8
 LU_MIN_A = 0.1  # the LU check is inapplicable below this min |a|
+SOBOLEV_ORDERS = (1.0, 1.5, 2.0)  # orders of the fractional decay ratios
 
 
 @dataclass
@@ -171,9 +173,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def check_determinant(pair: NlftPair, n_points: int | None = None,
-                      tol: float = DET_TOL) -> CheckRecord:
-    """``max_j | |a|^2 + |b|^2 - 1 |`` on the grid against ``tol``."""
+def check_determinant(pair: NlftPair, n_points: int | None = None) -> CheckRecord:
+    """``max_j | |a|^2 + |b|^2 - 1 |`` on the grid against ``DET_TOL``."""
     if n_points is None:
         n_points = _pair_grid(pair)
     av = _eval_samples(pair.a, n_points)
@@ -187,8 +188,8 @@ def check_determinant(pair: NlftPair, n_points: int | None = None,
         lhs=float(np.max(s)),
         rhs=1.0,
         value=residual,
-        passed=residual <= tol,
-        tolerance=tol,
+        passed=residual <= DET_TOL,
+        tolerance=DET_TOL,
     )
 
 
@@ -209,8 +210,7 @@ def _shifted_log_gap_mean(b: CoefficientSequence, n_points: int) -> float:
 
 
 def check_plancherel(F: CoefficientSequence, pair: NlftPair,
-                     n_points: int | None = None,
-                     tol: float = PLANCHEREL_TOL) -> CheckRecord:
+                     n_points: int | None = None) -> CheckRecord:
     """Sum rule: ``sum_k log(1+|F_k|^2) = -(1/2pi) int log(1-|b|^2)``.
 
     Quadrature nodes sit halfway between the standard grid points, so a
@@ -219,7 +219,7 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
     ``c/N`` aliasing error is removed by the Richardson value
     ``2 m(2N) - m(N)`` of the means on ``N`` and ``2N`` nodes.  Without
     ``n_points``, ``N`` doubles from the pair grid until that value moves
-    by at most ``tol`` from ``N/2`` to ``N``; the detail names ``N``.
+    by at most its tolerance from ``N/2`` to ``N``; the detail names ``N``.
     Raises ``SzegoMarginError`` when the gap is not positive on the nodes.
     """
     lhs = float(np.sum(np.log1p(np.abs(F.coeffs) ** 2))) if not F.is_empty else 0.0
@@ -232,7 +232,7 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
         n_points, rhs = _doubling_grid(
             _pair_grid(pair),
             lambda n: (abs(richardson(n) - richardson(n // 2)), richardson(n)),
-            tol, "plancherel quadrature")
+            PLANCHEREL_TOL, "plancherel quadrature")
     else:
         rhs = richardson(n_points)
     residual = abs(lhs - rhs)
@@ -243,22 +243,19 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
         lhs=lhs,
         rhs=rhs,
         value=residual,
-        passed=residual <= tol,
-        tolerance=tol,
+        passed=residual <= PLANCHEREL_TOL,
+        tolerance=PLANCHEREL_TOL,
         detail=f"grid={n_points}",
     )
 
 
 def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
-                     pair: NlftPair | None = None,
-                     tol: float = SINH_TOL) -> CheckRecord:
-    """``||b||_{A_w} <= sinh(||F||_{l1_w})``; margin must be >= -tol.
+                     pair: NlftPair) -> CheckRecord:
+    """``||b||_{A_w} <= sinh(||F||_{l1_w})``; margin must be >= -SINH_TOL.
 
     When ``sinh`` overflows the bound is vacuous: it passes for any
     finite lhs and records no rhs or margin.
     """
-    if pair is None:
-        pair = nlft_forward(F)
     lhs = weighted_l1_norm(pair.b, w)
     norm = weighted_l1_norm(F, w)
     try:
@@ -269,7 +266,7 @@ def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
         detail = f"bound vacuous: ||F||_l1_w = {norm:.6g}"
     else:
         margin = rhs - lhs
-        passed = margin >= -tol
+        passed = margin >= -SINH_TOL
         detail = ""
     return CheckRecord(
         name="sinh_bound",
@@ -279,7 +276,7 @@ def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
         rhs=rhs,
         value=margin,
         passed=passed,
-        tolerance=tol,
+        tolerance=SINH_TOL,
         weight=w.descriptor,
         detail=detail,
     )
@@ -295,8 +292,7 @@ def _a_star_zero(pair: NlftPair) -> float:
 
 
 def check_decay_first_order(F: CoefficientSequence, pair: NlftPair,
-                            n_points: int | None = None,
-                            tol: float = DECAY_TOL) -> CheckRecord:
+                            n_points: int | None = None) -> CheckRecord:
     """``|F_n| <= (2 a*(0) / |n|) ||(b/a*)'||_L2`` for every ``n != 0``.
 
     Reports the worst margin (bound minus ``|F_n|``) over the support.
@@ -319,8 +315,8 @@ def check_decay_first_order(F: CoefficientSequence, pair: NlftPair,
         lhs=worst[0],
         rhs=worst[1],
         value=float(worst_margin),
-        passed=worst_margin >= -tol,
-        tolerance=tol,
+        passed=worst_margin >= -DECAY_TOL,
+        tolerance=DECAY_TOL,
         detail=f"worst n={worst[2]}" if worst[2] is not None else "",
     )
 
@@ -369,19 +365,18 @@ def check_decay_fractional(F: CoefficientSequence, pair: NlftPair, s: float,
 
 
 def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
-                              w: BeurlingWeight, epsilon: float | None = None,
+                              w: BeurlingWeight,
                               n_points: int | None = None) -> CheckRecord:
     """Monitored ratio ``||F||_{l1_w} eps / ||b/a||_{A_w}``.
 
-    Applicable only when ``||b||_{A_w} < 1/sqrt(2) - eps``; with
-    ``epsilon=None`` half of the available margin is used.
+    Applicable only when ``||b||_{A_w} < 1/sqrt(2) - eps``, ``eps`` half
+    the available margin.  ``b/a`` is read reversed, as the ``b/a*`` of
+    ``reflect_pair(pair)``; a symmetric weight gives the same norm.
+    Without ``n_points`` the grid doubles until it stops folding.
     """
-    if n_points is None:
-        n_points = _pair_grid(pair)
     b_norm = weighted_l1_norm(pair.b, w)
     target = 1.0 / math.sqrt(2.0)
-    if epsilon is None:
-        epsilon = max((target - b_norm) / 2.0, 0.0)
+    epsilon = max((target - b_norm) / 2.0, 0.0)
     if not (b_norm < target - epsilon) or epsilon <= 0.0:
         return CheckRecord(
             name="quantitative_baxter",
@@ -395,22 +390,16 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
             weight=w.descriptor,
             detail="||b||_Aw not below 1/sqrt(2) - eps",
         )
-    if F.is_empty:
-        ratio = 0.0
-        quot_norm = 0.0
-    else:
-        hi = pair.b.support_hi
-        quot = grid_quotient(pair.b, pair.a, n_points,
-                             (hi - (n_points - 2), hi))
-        quot_norm = weighted_l1_norm(quot, w)
-        ratio = weighted_l1_norm(F, w) * epsilon / quot_norm if quot_norm else 0.0
+    lhs = weighted_l1_norm(F, w) * epsilon
+    quot_norm = 0.0 if F.is_empty else weighted_l1_norm(
+        _full_symbol_ratio(reflect_pair(pair), n_points), w)
     return CheckRecord(
         name="quantitative_baxter",
         anchor="quantitative_inverse_ratio",
         kind=MONITORED,
-        lhs=weighted_l1_norm(F, w) * epsilon,
+        lhs=lhs,
         rhs=quot_norm,
-        value=ratio,
+        value=lhs / quot_norm if quot_norm else 0.0,
         passed=True,
         tolerance=None,
         weight=w.descriptor,
@@ -424,7 +413,7 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
 
 
 def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
-                           tol: float = LU_TOL, seed: int = 0) -> CheckRecord:
+                           seed: int = 0) -> CheckRecord:
     """Pointwise LU identities and the vanishing operator compositions.
 
     Checks ``C = L U`` and ``C = Ut Lt`` entrywise on the grid, the
@@ -432,14 +421,16 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     projection, upper family against its complement) and the four
     compositions with the split projections at the midpoint ``n`` of the
     support of ``b``, all on four rounds of random windowed probes.  The
-    record value is the worst residual.
+    record value is the worst residual, gated at ``LU_TOL``.
 
     The rounds of a probe run as one batch of window-sized convolutions
     (see the module docstring); zero entries are skipped.
 
     The compositions vanish exactly only for the bi-infinite symbols;
-    on a grid the tails of 1/a alias into the forbidden windows, so the
-    default grid is oversized relative to the data width.
+    on a grid the tails of 1/a alias into the forbidden windows.  The
+    default grid is ``4 * core._pair_grid``; the suites pass the grid on
+    which ``b/a*`` stops folding (``spectral._ratio_grid``), which does
+    not exist for a pair with ``a*(0) = 0``.
     """
     if n_points is None:
         n_points = 4 * _pair_grid(pair)
@@ -490,15 +481,18 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
         + [(Lt, *split_in), (Lt_inv, *split_in),
            (Ut, *split_out), (Ut_inv, *split_out)]
     )
-    rng = np.random.default_rng(seed)
+    # one draw, laid out round by round, probe by probe, input by input,
+    # the real parts of an input before its imaginary parts; copied to
+    # contiguous rows (one per entry, a column per round)
+    sizes = [2 * (w[1] - w[0] + 1) for _, ins, _ in probes for w in ins if w]
+    draws = np.random.default_rng(seed).standard_normal(
+        (n_probes, sum(sizes))).T.copy()
+    blocks = iter(np.split(draws, np.cumsum(sizes)[:-1]))
 
-    def draw(window):
-        width = window[1] - window[0] + 1
-        return rng.standard_normal(width) + 1j * rng.standard_normal(width)
+    def rounds(block):  # the rounds of one input as columns
+        re, im = np.split(block, 2)
+        return re + 1j * im
 
-    # round by round, probe by probe, input by input
-    rounds = [[[draw(w) if w else None for w in ins] for _, ins, _ in probes]
-              for _ in range(n_probes)]
     coeffs = {}  # grid coefficients of each symbol a probe reads
 
     def coef(sym):
@@ -507,9 +501,8 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
         return coeffs[id(sym)]
 
     worst_probe = 0.0
-    for p, (T, ins, outs) in enumerate(probes):
-        xs = [np.stack([r[p][j] for r in rounds], axis=1) if w else None
-              for j, w in enumerate(ins)]
+    for T, ins, outs in probes:
+        xs = [rounds(next(blocks)) if w else None for w in ins]
         in_sq = sum(np.sum(np.abs(x) ** 2, axis=0) for x in xs if x is not None)
         out_sq = 0.0
         for row, out in zip(T, outs):
@@ -528,8 +521,8 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
         lhs=max(res_lu, res_ul),
         rhs=worst_probe,
         value=value,
-        passed=value <= tol,
-        tolerance=tol,
+        passed=value <= LU_TOL,
+        tolerance=LU_TOL,
         detail=f"n={n} probes={n_probes} grid={n_points}",
     )
 
@@ -541,8 +534,8 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
 
 def check_antisymmetry(pair: NlftPair, n: int | None = None,
                        n_points: int | None = None, n_probes: int = 20,
-                       seed: int = 0, tol: float = ANTISYM_TOL) -> CheckRecord:
-    """``|<Mx, y> + <x, My>| <= tol ||x|| ||y||`` on random probe pairs.
+                       seed: int = 0) -> CheckRecord:
+    """``|<Mx, y> + <x, My>| <= ANTISYM_TOL ||x|| ||y||`` on random probes.
 
     The probes run as one batch through ``apply_m``'s convolutions; each
     block reads its own symbol, so neither is derived from the other.
@@ -571,13 +564,13 @@ def check_antisymmetry(pair: NlftPair, n: int | None = None,
         lhs=worst,
         rhs=0.0,
         value=worst,
-        passed=worst <= tol,
-        tolerance=tol,
+        passed=worst <= ANTISYM_TOL,
+        tolerance=ANTISYM_TOL,
         detail=f"n={n} probes={n_probes} grid={sys.n_points}",
     )
 
 
-def check_contraction(records, tol: float = CONTRACTION_SLACK) -> CheckRecord:
+def check_contraction(records) -> CheckRecord:
     """Solution 2-norm never exceeds the rhs 2-norm, up to roundoff slack."""
     records = list(records)
     worst = 0.0
@@ -590,19 +583,17 @@ def check_contraction(records, tol: float = CONTRACTION_SLACK) -> CheckRecord:
         lhs=1.0 + worst,
         rhs=1.0,
         value=float(worst),
-        passed=worst <= tol,
-        tolerance=tol,
+        passed=worst <= CONTRACTION_SLACK,
+        tolerance=CONTRACTION_SLACK,
         detail=f"solves={len(records)}",
     )
 
 
-def check_round_trip(F: CoefficientSequence, pair: NlftPair | None = None,
+def check_round_trip(F: CoefficientSequence, pair: NlftPair,
                      n_points: int | None = None, solver_tol: float = 1e-12,
                      tol: float = ROUND_TRIP_TOL,
                      szego_margin: float = 1e-6):
     """Invert the forward output and compare; also yields the contraction record."""
-    if pair is None:
-        pair = nlft_forward(F)
     window = (F.support_lo, F.support_hi) if not F.is_empty else (0, 0)
     recovered, report = inverse_nlft_detailed(
         pair.b, window, n_points=n_points, tol=solver_tol,
@@ -666,7 +657,8 @@ def _operator_records(pair: NlftPair, n_points: int | None,
     """The LU and skew-adjointness checks of a pair.
 
     The LU check is inapplicable when ``min |a| < LU_MIN_A`` on the
-    grid; a symbol that vanishes makes an error record.
+    grid, and runs on ``n_points or _ratio_grid(pair)`` otherwise.  Its
+    numerical errors, and a vanishing symbol, make error records.
     """
     min_a = float(np.min(np.abs(_eval_samples(pair.a,
                                               n_points or _pair_grid(pair)))))
@@ -679,8 +671,9 @@ def _operator_records(pair: NlftPair, n_points: int | None,
         )
     else:
         try:
-            lu = check_lu_factorization(pair, n_points, seed=seed)
-        except VanishingSymbolError as exc:
+            lu = check_lu_factorization(pair, n_points or _ratio_grid(pair),
+                                        seed=seed)
+        except NumericalError as exc:
             lu = _error_record("lu_factorization", "lu_factorization_identity",
                                exc)
     try:
@@ -710,7 +703,6 @@ def run_suite(
     b: CoefficientSequence | None = None,
     n_points: int | None = None,
     weights: list[BeurlingWeight] | None = None,
-    sobolev_orders: tuple[float, ...] = (1.0, 1.5, 2.0),
     support_window: tuple[int, int] | None = None,
     solver_tol: float = 1e-12,
     round_trip_tol: float = ROUND_TRIP_TOL,
@@ -769,7 +761,7 @@ def run_suite(
         "support": [F.support_lo, F.support_hi] if not F.is_empty else None,
         "grid": n_points or _pair_grid(pair),
         "weights": [w.descriptor for w in weights],
-        "sobolev_orders": list(sobolev_orders),
+        "sobolev_orders": list(SOBOLEV_ORDERS),
         "seed": seed,
     }
 
@@ -783,7 +775,7 @@ def run_suite(
         report.records.append(check_sinh_bound(F, w, pair))
     try:
         report.records.append(check_decay_first_order(F, pair, n_points))
-        for s in sobolev_orders:
+        for s in SOBOLEV_ORDERS:
             report.records.append(check_decay_fractional(F, pair, s, n_points))
     except NumericalError as exc:
         report.records.append(
