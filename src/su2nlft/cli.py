@@ -455,7 +455,8 @@ def cmd_verify(args, cfg: Config) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "abs_F_n", "first_order_rhs"])
-            for n, mag, rhs in decay_table(F, n_points=cfg.n_points):
+            for n, mag, rhs in decay_table(F, nlft_forward(F, cfg.n_points),
+                                           n_points=cfg.n_points):
                 writer.writerow([n, f"{mag:.17g}",
                                  "" if rhs is None else f"{rhs:.17g}"])
     return 0 if report.overall_pass else 2

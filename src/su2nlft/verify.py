@@ -11,6 +11,8 @@ and returns a small record.  Checks come in three kinds:
   instance, so nothing is asserted.
 
 ``run_suite`` composes everything, including a full inverse round trip.
+It builds ``b/a*`` once for its decay records and once, reflected, for
+its Baxter ratios, and its LU check reuses the grid of the first.
 
 The LU and antisymmetry checks apply grid multipliers to random
 windowed probes as window-sized convolutions by the multipliers' grid
@@ -291,34 +293,52 @@ def _a_star_zero(pair: NlftPair) -> float:
     return float(np.real(pair.a.coefficient(0)))
 
 
+def _decay_rows(F: CoefficientSequence, pair: NlftPair,
+                ratio: CoefficientSequence):
+    """The rows of ``decay_table`` for ``ratio = b/a*``."""
+    scale = 2.0 * _a_star_zero(pair) * derivative(ratio).l2_norm()
+    return [(int(n), float(abs(F.coefficient(n))),
+             scale / abs(n) if n != 0 else None) for n in F.indices()]
+
+
+def _decay_records(F: CoefficientSequence, pair: NlftPair,
+                   ratio: CoefficientSequence, orders) -> list[CheckRecord]:
+    """The ``decay_first_order`` record, then one ``decay_fractional_s*``
+    record per Sobolev order in ``orders``, all read from ``ratio``, the
+    ``b/a*`` of ``_full_symbol_ratio``; ``sup |(b/a*)'|`` is sampled once."""
+    # (margin, |F_n|, bound, n) off the centre; the first worst is kept
+    margin, mag, bound, n = min(
+        [(bound - mag, mag, bound, n) for n, mag, bound
+         in _decay_rows(F, pair, ratio) if bound is not None and mag != 0],
+        key=lambda row: row[0], default=(0.0, 0.0, 0.0, None))
+    records = [CheckRecord(
+        name="decay_first_order", anchor="first_order_decay_bound", kind=HARD,
+        lhs=mag, rhs=bound, value=margin, passed=margin >= -DECAY_TOL,
+        tolerance=DECAY_TOL, detail="" if n is None else f"worst n={n}")]
+    if orders:
+        # the ratio spans N - 1 indices of its N-point grid
+        deriv_inf = float(np.max(np.abs(_eval_samples(derivative(ratio),
+                                                      ratio.width + 1))))
+    for s in orders:
+        denom = (_a_star_zero(pair) * (1.0 + sobolev_norm(ratio, s))
+                 * max(1.0, deriv_inf) ** math.ceil(s))
+        nums = [abs(c) * abs(n) ** s for n, c in zip(F.indices(), F.coeffs)
+                if n != 0 and c != 0]
+        lhs = max(nums, key=lambda num: num / denom, default=0.0)
+        records.append(CheckRecord(
+            name=f"decay_fractional_s{s:g}", anchor="fractional_decay_ratio",
+            kind=MONITORED, lhs=lhs, rhs=denom, value=lhs / denom,
+            passed=True, tolerance=None, detail=f"s={s:g}"))
+    return records
+
+
 def check_decay_first_order(F: CoefficientSequence, pair: NlftPair,
                             n_points: int | None = None) -> CheckRecord:
     """``|F_n| <= (2 a*(0) / |n|) ||(b/a*)'||_L2`` for every ``n != 0``.
 
     Reports the worst margin (bound minus ``|F_n|``) over the support.
     """
-    worst_margin = math.inf
-    worst = (0.0, 0.0, None)
-    for n, mag, bound in decay_table(F, pair, n_points):
-        if bound is None or mag == 0:
-            continue
-        margin = bound - mag
-        if margin < worst_margin:
-            worst_margin = margin
-            worst = (mag, float(bound), int(n))
-    if worst_margin is math.inf:
-        worst_margin = 0.0  # no off-center entries: nothing to bound
-    return CheckRecord(
-        name="decay_first_order",
-        anchor="first_order_decay_bound",
-        kind=HARD,
-        lhs=worst[0],
-        rhs=worst[1],
-        value=float(worst_margin),
-        passed=worst_margin >= -DECAY_TOL,
-        tolerance=DECAY_TOL,
-        detail=f"worst n={worst[2]}" if worst[2] is not None else "",
-    )
+    return _decay_records(F, pair, _full_symbol_ratio(pair, n_points), ())[0]
 
 
 def check_decay_fractional(F: CoefficientSequence, pair: NlftPair, s: float,
@@ -334,34 +354,8 @@ def check_decay_fractional(F: CoefficientSequence, pair: NlftPair, s: float,
     """
     if s < 1:
         raise ValidationError("fractional decay needs s >= 1")
-    ratio = _full_symbol_ratio(pair, n_points)
-    hs = sobolev_norm(ratio, s)
-    # the ratio spans N - 1 indices of its N-point grid
-    deriv_inf = float(np.max(np.abs(_eval_samples(derivative(ratio),
-                                                  ratio.width + 1))))
-    a0 = _a_star_zero(pair)
-    denom = a0 * (1.0 + hs) * max(1.0, deriv_inf) ** math.ceil(s)
-    worst = 0.0
-    lhs = 0.0
-    if not F.is_empty:
-        for n, c in zip(F.indices(), F.coeffs):
-            if n == 0 or c == 0:
-                continue
-            num = abs(c) * abs(n) ** s
-            if num / denom > worst:
-                worst = num / denom
-                lhs = num
-    return CheckRecord(
-        name=f"decay_fractional_s{s:g}",
-        anchor="fractional_decay_ratio",
-        kind=MONITORED,
-        lhs=lhs,
-        rhs=denom,
-        value=worst,
-        passed=True,
-        tolerance=None,
-        detail=f"s={s:g}",
-    )
+    return _decay_records(F, pair, _full_symbol_ratio(pair, n_points),
+                          (s,))[1]
 
 
 def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
@@ -374,25 +368,25 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
     ``reflect_pair(pair)``; a symmetric weight gives the same norm.
     Without ``n_points`` the grid doubles until it stops folding.
     """
+    return _baxter_record(F, pair, w, lambda: _full_symbol_ratio(
+        reflect_pair(pair), n_points))
+
+
+def _baxter_record(F: CoefficientSequence, pair: NlftPair, w: BeurlingWeight,
+                   reflected_ratio) -> CheckRecord:
+    """``check_quantitative_baxter``, with ``reflected_ratio()`` giving the
+    ``b/a*`` of ``reflect_pair(pair)``; it is called only if read."""
     b_norm = weighted_l1_norm(pair.b, w)
     target = 1.0 / math.sqrt(2.0)
     epsilon = max((target - b_norm) / 2.0, 0.0)
     if not (b_norm < target - epsilon) or epsilon <= 0.0:
         return CheckRecord(
-            name="quantitative_baxter",
-            anchor="quantitative_inverse_ratio",
-            kind=INAPPLICABLE,
-            lhs=b_norm,
-            rhs=target,
-            value=None,
-            passed=True,
-            tolerance=None,
-            weight=w.descriptor,
-            detail="||b||_Aw not below 1/sqrt(2) - eps",
-        )
+            name="quantitative_baxter", anchor="quantitative_inverse_ratio",
+            kind=INAPPLICABLE, lhs=b_norm, rhs=target, value=None,
+            passed=True, tolerance=None, weight=w.descriptor,
+            detail="||b||_Aw not below 1/sqrt(2) - eps")
     lhs = weighted_l1_norm(F, w) * epsilon
-    quot_norm = 0.0 if F.is_empty else weighted_l1_norm(
-        _full_symbol_ratio(reflect_pair(pair), n_points), w)
+    quot_norm = 0.0 if F.is_empty else weighted_l1_norm(reflected_ratio(), w)
     return CheckRecord(
         name="quantitative_baxter",
         anchor="quantitative_inverse_ratio",
@@ -412,6 +406,14 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
 # ---------------------------------------------------------------------------
 
 
+def _lu_window(pair: NlftPair) -> tuple[int, int]:
+    """``(n, k)`` of the LU check: the truncation ``n``, midpoint of the
+    support of ``b``, and the probe window length ``k``, which the check
+    keeps on grids of more than ``4 k + 2 |n|`` points."""
+    n = (pair.b.support_lo + pair.b.support_hi) // 2 if not pair.b.is_empty else 0
+    return n, max(pair.a.width, pair.b.width, 8)
+
+
 def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
                            seed: int = 0) -> CheckRecord:
     """Pointwise LU identities and the vanishing operator compositions.
@@ -429,8 +431,9 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     The compositions vanish exactly only for the bi-infinite symbols;
     on a grid the tails of 1/a alias into the forbidden windows.  The
     default grid is ``4 * core._pair_grid``; the suites pass the grid on
-    which ``b/a*`` stops folding (``spectral._ratio_grid``), which does
-    not exist for a pair with ``a*(0) = 0``.
+    which ``b/a*`` stops folding (``spectral._ratio_grid``, which does
+    not exist for a pair with ``a*(0) = 0``), raised if needed to the
+    smallest that keeps the probe windows (``_lu_window``).
     """
     if n_points is None:
         n_points = 4 * _pair_grid(pair)
@@ -461,9 +464,8 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     res_lu = residual(C, L, U)
     res_ul = residual(C, Ut, Lt)
 
-    n = (pair.b.support_lo + pair.b.support_hi) // 2 if not pair.b.is_empty else 0
     n_probes = 4
-    k = max(pair.a.width, pair.b.width, 8)
+    n, k = _lu_window(pair)
     if 4 * k + 2 * abs(n) >= n_points:
         k = max((n_points - 2 * abs(n)) // 4 - 1, 4)
     half = n_points // 2 - 1
@@ -599,22 +601,18 @@ def check_round_trip(F: CoefficientSequence, pair: NlftPair,
         pair.b, window, n_points=n_points, tol=solver_tol,
         szego_margin=szego_margin,
     )
-    err = max_abs_difference(recovered, F)
-    rt = CheckRecord(
-        name="round_trip",
-        anchor="round_trip_recovery",
-        kind=HARD,
-        lhs=err,
-        rhs=0.0,
-        value=err,
-        passed=err <= tol,
-        tolerance=tol,
-        detail=f"window=[{window[0]},{window[1]}]",
-    )
+    rt = _round_trip_record(max_abs_difference(recovered, F), tol,
+                            f"window=[{window[0]},{window[1]}]")
     return rt, check_contraction(report.records)
 
 
-def decay_table(F: CoefficientSequence, pair: NlftPair | None = None,
+def _round_trip_record(err: float, tol: float, detail: str) -> CheckRecord:
+    return CheckRecord(
+        name="round_trip", anchor="round_trip_recovery", kind=HARD, lhs=err,
+        rhs=0.0, value=err, passed=err <= tol, tolerance=tol, detail=detail)
+
+
+def decay_table(F: CoefficientSequence, pair: NlftPair,
                 n_points: int | None = None):
     """Rows ``(n, |F_n|, first_order_rhs)`` over the support of ``F``.
 
@@ -622,15 +620,7 @@ def decay_table(F: CoefficientSequence, pair: NlftPair | None = None,
     says nothing.  Without ``n_points`` the grid of ``b/a*`` doubles as
     in ``RhSystem.build`` (``ConsistencyError`` past ``core.MAX_GRID``).
     """
-    if pair is None:
-        pair = nlft_forward(F)
-    deriv_l2 = derivative(_full_symbol_ratio(pair, n_points)).l2_norm()
-    a0 = _a_star_zero(pair)
-    rows = []
-    for n in F.indices():
-        rhs = 2.0 * a0 * deriv_l2 / abs(n) if n != 0 else None
-        rows.append((int(n), float(abs(F.coefficient(n))), rhs))
-    return rows
+    return _decay_rows(F, pair, _full_symbol_ratio(pair, n_points))
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +642,16 @@ def _error_record(name: str, anchor: str, exc: Exception) -> CheckRecord:
     )
 
 
-def _operator_records(pair: NlftPair, n_points: int | None,
-                      seed: int) -> list[CheckRecord]:
+def _operator_records(pair: NlftPair, n_points: int | None, seed: int,
+                      ratio_grid: int | None = None) -> list[CheckRecord]:
     """The LU and skew-adjointness checks of a pair.
 
     The LU check is inapplicable when ``min |a| < LU_MIN_A`` on the
-    grid, and runs on ``n_points or _ratio_grid(pair)`` otherwise.  Its
-    numerical errors, and a vanishing symbol, make error records.
+    grid.  Otherwise it runs on ``n_points`` or, when that is ``None``,
+    on the fold grid of ``b/a*`` (``ratio_grid``, or ``_ratio_grid(pair)``
+    when not given), raised to the smallest power of two above
+    ``4 k + 2 |n|`` (``_lu_window``).  Its numerical errors, and a
+    vanishing symbol, make error records.
     """
     min_a = float(np.min(np.abs(_eval_samples(pair.a,
                                               n_points or _pair_grid(pair)))))
@@ -671,8 +664,10 @@ def _operator_records(pair: NlftPair, n_points: int | None,
         )
     else:
         try:
-            lu = check_lu_factorization(pair, n_points or _ratio_grid(pair),
-                                        seed=seed)
+            n, k = _lu_window(pair)
+            lu = check_lu_factorization(pair, n_points or max(
+                ratio_grid or _ratio_grid(pair),
+                _power_of_two_at_least(4 * k + 2 * abs(n) + 1)), seed=seed)
         except NumericalError as exc:
             lu = _error_record("lu_factorization", "lu_factorization_identity",
                                exc)
@@ -718,6 +713,11 @@ def run_suite(
     ``metadata["grid"]`` is the grid of the determinant check, and of the
     decay checks when ``n_points`` is given; the plancherel, LU and
     antisymmetry records name their own.
+
+    ``b/a*`` is built once for the decay records and, without
+    ``n_points``, its fold grid is also the LU check's (raised to the
+    LU window floor).  The Baxter records read one ``b/a*`` of the
+    reflected pair, built for the first weight that applies.
     """
     if (F is None) == (b is None):
         raise ValidationError("provide exactly one of F or b")
@@ -746,16 +746,9 @@ def run_suite(
         F = recovered
         pair = nlft_forward(recovered, n_points)
         inverse_records = inv_report.records
-        err = inv_report.round_trip_residual
-        report.records.append(CheckRecord(
-            name="round_trip",
-            anchor="round_trip_recovery",
-            kind=HARD,
-            lhs=err, rhs=0.0, value=err,
-            passed=err <= round_trip_tol,
-            tolerance=round_trip_tol,
-            detail="reconstruction of b from the recovered sequence",
-        ))
+        report.records.append(_round_trip_record(
+            inv_report.round_trip_residual, round_trip_tol,
+            "reconstruction of b from the recovered sequence"))
 
     report.metadata = {
         "support": [F.support_lo, F.support_hi] if not F.is_empty else None,
@@ -773,17 +766,19 @@ def run_suite(
             _error_record("plancherel", "szego_plancherel_identity", exc))
     for w in weights:
         report.records.append(check_sinh_bound(F, w, pair))
+    ratio_grid = None
     try:
-        report.records.append(check_decay_first_order(F, pair, n_points))
-        for s in SOBOLEV_ORDERS:
-            report.records.append(check_decay_fractional(F, pair, s, n_points))
+        ratio = _full_symbol_ratio(pair, n_points)
+        ratio_grid = ratio.width + 1  # the ratio spans N - 1 indices
+        report.records += _decay_records(F, pair, ratio, SOBOLEV_ORDERS)
     except NumericalError as exc:
         report.records.append(
             _error_record("decay", "first_order_decay_bound", exc))
+    reflected_ratio = functools.cache(
+        lambda: _full_symbol_ratio(reflect_pair(pair), n_points))
     for w in weights:
-        report.records.append(check_quantitative_baxter(F, pair, w,
-                                                        n_points=n_points))
-    report.records += _operator_records(pair, n_points, seed)
+        report.records.append(_baxter_record(F, pair, w, reflected_ratio))
+    report.records += _operator_records(pair, n_points, seed, ratio_grid)
 
     if inverse_records is None:
         try:

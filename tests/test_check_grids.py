@@ -12,21 +12,24 @@ from su2nlft import (
     check_antisymmetry,
     check_contraction,
     check_decay_first_order,
+    check_decay_fractional,
     check_determinant,
     check_lu_factorization,
     check_plancherel,
     check_quantitative_baxter,
     check_round_trip,
     check_sinh_bound,
+    decay_table,
     first_certified_index,
     grid_quotient,
     nlft_forward,
     run_pair_checks,
+    reflect_pair,
     run_suite,
     solvability_certificate,
     weighted_l1_norm,
 )
-from su2nlft import inverse, verify
+from su2nlft import inverse, spectral, verify
 from su2nlft.cli import main, pair_to_json, sequence_to_json
 
 
@@ -70,6 +73,15 @@ class TestLuInTheSuites:
     def test_given_grid_is_kept(self):
         rec = lu_record(run_pair_checks(nlft_forward(LU_ALIASED), 128))
         assert rec.detail.endswith("grid=128") and not rec.passed
+
+    def test_short_pair_keeps_the_probe_windows(self):
+        # b/a* stops folding on 16 points, where the probes of k = 8
+        # indices around n = 3 do not fit (4 k + 2 |n| = 38)
+        pair = nlft_forward(seq({3: 0.3}))
+        assert verify._ratio_grid(pair) == 16
+        for report in (run_suite(seq({3: 0.3})), run_pair_checks(pair)):
+            rec = lu_record(report)
+            assert rec.passed and int(rec.detail.split("grid=")[1]) >= 64
 
     def test_numerical_error_becomes_an_error_record(self, monkeypatch):
         def capped(pair):
@@ -147,3 +159,49 @@ def test_suite_echoes_the_sobolev_orders():
     assert [r.name for r in report.records
             if r.name.startswith("decay_fractional")] == [
         "decay_fractional_s1", "decay_fractional_s1.5", "decay_fractional_s2"]
+
+
+def test_decay_table_requires_the_pair():
+    param = inspect.signature(decay_table).parameters["pair"]
+    assert param.default is inspect.Parameter.empty
+
+
+class TestOneRatioPerSuite:
+    @pytest.mark.parametrize("n_points", [None, 1024])
+    def test_suite_builds_each_ratio_once(self, monkeypatch, n_points):
+        F = SMALL[0]
+        pair = nlft_forward(F, n_points)
+        built = []
+        original = spectral._full_symbol_ratio
+
+        def spy(p, *args, **kwargs):
+            built.append((p.b.support_lo, p.b.support_hi))
+            return original(p, *args, **kwargs)
+
+        for module in (spectral, verify):
+            monkeypatch.setattr(module, "_full_symbol_ratio", spy)
+        report = run_suite(F, n_points=n_points)
+        assert any(r.name == "quantitative_baxter" and r.kind == "monitored"
+                   for r in report.records)
+        mirrored = reflect_pair(pair).b
+        assert sorted(built) == sorted([
+            (pair.b.support_lo, pair.b.support_hi),
+            (mirrored.support_lo, mirrored.support_hi)])
+
+    @pytest.mark.parametrize("F", [seq({0: 0.5, 1: 0.5}), DECAY, LU_ALIASED,
+                                   SMALL[1]])
+    @pytest.mark.parametrize("n_points", [None, 1024])
+    def test_suite_records_match_the_public_checks(self, F, n_points):
+        report = run_suite(F, n_points=n_points)
+        pair = nlft_forward(F, n_points)
+        weights = [BeurlingWeight.from_descriptor(d)
+                   for d in report.metadata["weights"]]
+        expected = (
+            [check_decay_first_order(F, pair, n_points)]
+            + [check_decay_fractional(F, pair, s, n_points)
+               for s in report.metadata["sobolev_orders"]]
+            + [check_quantitative_baxter(F, pair, w, n_points)
+               for w in weights])
+        got = [r for r in report.records
+               if r.name.startswith("decay") or r.name == "quantitative_baxter"]
+        assert got == expected
