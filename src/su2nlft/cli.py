@@ -39,8 +39,8 @@ from .verify import decay_table, run_pair_checks, run_suite
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
 # complex arrays of MAX_GRID_SIZE points (64 MiB each); stripping a
-# window takes time quadratic in its width (about half a second at
-# MAX_WINDOW_WIDTH)
+# window [lo, hi] takes time quadratic in hi - lo(b) + 1 (about half a
+# second for a centred window of width MAX_WINDOW_WIDTH)
 MAX_GRID_SIZE = 1 << 22
 MAX_WINDOW_WIDTH = 1 << 12
 
@@ -372,8 +372,7 @@ def _write_convergence_csv(path: str, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "solver_residual", "solution_norm", "rhs_norm"])
         for r in records:
-            idx = -r.n if r.reflected else r.n
-            writer.writerow([idx, f"{r.residual:.17g}",
+            writer.writerow([r.n, f"{r.residual:.17g}",
                              f"{r.solution_norm:.17g}", f"{r.rhs_norm:.17g}"])
 
 

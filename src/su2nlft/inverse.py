@@ -55,13 +55,14 @@ through by ``L_jj^2``, because the rounding of order ``eps`` in the
 sum would then grow by ``L_jj^2 = 1 / a_n*(0)^2`` and fail accurate
 strips of large potentials.  The
 method is the Riemann-Hilbert-Weiss algorithm of Alexis, Lin,
-Mnatsakanyan, Thiele & Wang (arXiv 2407.05634).  Negative indices are
-recovered by stripping the reflected pair ``(a*(1/z), b(1/z))``, which
-is the transform of the index-reversed sequence.
+Mnatsakanyan, Thiele & Wang (arXiv 2407.05634).  The pass starts at
+``lo(b)`` whatever the sign of the indices, so one pass up to the top
+index of a window strips all of it, negative indices included.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -224,36 +225,35 @@ class RhSolution:
     residual: float
     solution_norm: float
     rhs_norm: float
-    reflected: bool = False
+    reflected: bool = False  # no solve is of a reflected pair; kept for readers
 
 
 class _StripRecord(RhSolution):
-    """A stripping record whose sequence fields are solved on first read.
+    """A stripping record whose sequence fields are read on first use.
 
     Stripping itself needs only ``a_star_zero``, ``residual`` and
-    ``solution_norm``.  ``a``, ``b``, ``tilde_a_star`` and ``tilde_b``
-    come from the dense solve of ``rh_solve`` on the direction's
-    coefficient vector ``c``, run once and cached.  That solve costs
-    O(m^3) for ``m = n - lo(b) + 1`` and gates its residual against the
-    strip's ``tol``, so reading one of these fields can raise a
-    ``NumericalError``.  ``repr`` shows only the eager fields.
+    ``solution_norm``.  ``a`` and ``b`` are the forward transform of the
+    stripped potential on ``[lo(b), n]``, read from the one array that
+    all records of a strip share, built on first read and cached;
+    ``tilde_a_star`` and ``tilde_b`` are ``a_star_zero`` times ``a*`` and
+    ``b``.  A record below ``lo(b)`` reads the empty prefix.  ``repr``
+    shows only the eager fields.
     """
 
     def __init__(self, n: int, a_star_zero: float, residual: float,
-                 reflected: bool, c: np.ndarray, b_lo: int, tol: float):
+                 potential: np.ndarray, b_lo: int):
         self.n = n
         self.a_star_zero = a_star_zero
         self.residual = residual
         self.solution_norm = a_star_zero
         self.rhs_norm = 1.0
-        self.reflected = reflected
-        self._c, self._b_lo, self._tol = c, b_lo, tol
-        self._full: RhSolution | None = None
+        self._potential, self._b_lo = potential, b_lo
 
-    def _solved(self) -> RhSolution:
-        if self._full is None:
-            self._full = _dense_solve(self._c, self._b_lo, self.n, self._tol)
-        return self._full
+    @functools.cached_property
+    def _pair(self) -> NlftPair:
+        m = max(self.n - self._b_lo + 1, 0)
+        return nlft_forward(CoefficientSequence(
+            self._b_lo, self._b_lo + m - 1, self._potential[:m]))
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(n={self.n!r}, "
@@ -262,10 +262,12 @@ class _StripRecord(RhSolution):
                 f"solution_norm={self.solution_norm!r}, "
                 f"rhs_norm={self.rhs_norm!r}, reflected={self.reflected!r})")
 
-    a = property(lambda self: self._solved().a)
-    b = property(lambda self: self._solved().b)
-    tilde_a_star = property(lambda self: self._solved().tilde_a_star)
-    tilde_b = property(lambda self: self._solved().tilde_b)
+    a = property(lambda self: self._pair.a)
+    b = property(lambda self: self._pair.b)
+    tilde_a_star = property(lambda self: star_reflect(self._pair.a).scale(
+        self.a_star_zero).clamp(CLAMP_TOL))
+    tilde_b = property(
+        lambda self: self._pair.b.scale(self.a_star_zero).clamp(CLAMP_TOL))
 
 
 def _dense_solve(c: np.ndarray, b_lo: int, n: int, tol: float) -> RhSolution:
@@ -387,11 +389,12 @@ def layer_strip_detailed(
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """Recover ``F`` on a window together with the per-index solve records.
 
-    Indices ``n >= 0`` are stripped from the pair directly; negative
-    indices are stripped at ``-n`` from the reflected pair.  Each
-    direction takes one generalized Schur pass (see the module
-    docstring), and ``F_n = y_j L_jj`` with ``j = n - lo(b)``.  Entries
-    with ``|F_n| < tol`` are reported as zero.
+    One generalized Schur pass over the coefficients of ``b/a*`` on
+    ``[lo(b), hi]`` (see the module docstring) strips every index of the
+    window ``[lo, hi]``, negative ones included: ``F_n = y_j L_jj`` with
+    ``j = n - lo(b)``.  Entries with ``|F_n| < tol`` are reported as
+    zero.  The records come in ascending ``n``; the record at ``n`` is
+    the truncation to ``(F_k)_{k <= n}``.
 
     A record's ``a_star_zero`` and ``solution_norm`` are ``1 / L_jj``,
     so a pivot below 1, which ``I + T T^H >= I`` rules out, fails
@@ -399,43 +402,37 @@ def layer_strip_detailed(
     ``|1 - sum_{i <= j} |y_i|^2 - 1 / L_jj^2|`` of the pivot identity:
     zero in exact arithmetic, it compares ``a_n*(0)^2`` from the forward
     substitution with ``a_n*(0)^2`` from the pivots of the rotations.
-    It is not the system residual that ``rh_solve`` reports.  Raises ``ConvergenceError`` if a gap exceeds
-    ``tol`` (a NaN fails too).  The fields ``a``, ``b``,
-    ``tilde_a_star`` and ``tilde_b`` are solved by ``rh_solve``'s dense
-    routine when first read; that solve gates its own residual and can
-    raise a ``NumericalError`` on a strip that succeeded.
+    It is not the system residual that ``rh_solve`` reports.  Raises
+    ``ConvergenceError`` if a gap exceeds ``tol`` (a NaN fails too).
+    The fields ``a``, ``b``, ``tilde_a_star`` and ``tilde_b`` are the
+    forward transform of the stripped potential on ``[lo(b), n]``,
+    computed when first read; reading them solves no system.
     """
     lo, hi = int(support_window[0]), int(support_window[1])
     if hi < lo:
         raise ValidationError("support window is empty")
+    sys = RhSystem.build(pair, hi, n_points)
+    b_lo = _b_lo(pair)
+    pivots, y = _schur_pass(_window_coeffs(sys.sym_b_over_astar, b_lo, hi))
+    # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
+    gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
+    potential = y * pivots
     arr = np.zeros(hi - lo + 1, dtype=np.complex128)
     records: list[RhSolution] = []
-    for sign, source, indices in (
-        (1, pair, list(range(max(lo, 0), hi + 1))),
-        (-1, reflect_pair(pair), list(range(max(1, -hi), -lo + 1))),
-    ):
-        if not indices:
+    for n in range(lo, hi + 1):
+        j = n - b_lo
+        if j < 0:  # below b: the trivial solution x = (1, 0)
+            records.append(_StripRecord(n, 1.0, 0.0, potential, b_lo))
             continue
-        sys = RhSystem.build(source, indices[-1], n_points)
-        b_lo = _b_lo(source)
-        c = _window_coeffs(sys.sym_b_over_astar, b_lo, indices[-1])
-        pivots, y = _schur_pass(c)
-        # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
-        gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
-        for n in indices:
-            j = n - b_lo
-            if j < 0:  # below b: the trivial solution x = (1, 0)
-                records.append(_StripRecord(n, 1.0, 0.0, sign < 0, c, b_lo, tol))
-                continue
-            gap = float(gaps[j])
-            if not gap <= tol:
-                raise ConvergenceError(
-                    f"pivot identity misses by {gap:.3e} > {tol:.1e} "
-                    f"at truncation {n}"
-                )
-            arr[sign * n - lo] = y[j] * pivots[j]
-            records.append(_StripRecord(n, 1.0 / float(pivots[j]), gap,
-                                        sign < 0, c, b_lo, tol))
+        gap = float(gaps[j])
+        if not gap <= tol:
+            raise ConvergenceError(
+                f"pivot identity misses by {gap:.3e} > {tol:.1e} "
+                f"at truncation {n}"
+            )
+        arr[n - lo] = potential[j]
+        records.append(_StripRecord(n, 1.0 / float(pivots[j]), gap,
+                                    potential, b_lo))
     arr[np.abs(arr) < tol] = 0.0
     return CoefficientSequence(lo, hi, arr).trim(), records
 

@@ -13,6 +13,7 @@ from su2nlft import (
     CoefficientSequence,
     NlftPair,
     NumericalError,
+    a_star_at_zero,
     layer_strip,
     max_abs_difference,
     nlft_forward,
@@ -209,6 +210,21 @@ class TestInverse:
         for r in rows[1:]:
             assert float(r[1]) < 1e-10
             assert float(r[2]) > 0 and float(r[3]) > 0
+
+    def test_convergence_csv_indexes_negative_truncations(self, tmp_path):
+        F = CoefficientSequence.from_dict({-1: 0.3, 0: -0.2 + 0.1j, 1: 0.25j})
+        b = tmp_path / "b.json"
+        b.write_text(sequence_to_json(nlft_forward(F).b))
+        csv_path = tmp_path / "conv.csv"
+        assert main(["inverse", "--b", str(b), "--support=-1..1",
+                     "--out", str(tmp_path / "rec.json"),
+                     "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["n"]) for r in rows] == [-1, 0, 1]
+        for r in rows:
+            want = a_star_at_zero(F.restrict(-1, int(r["n"])))
+            assert abs(float(r["solution_norm"]) - want) <= 1e-12
 
     def test_supplied_a_with_zero_in_disk_exits_two(self, tmp_path, capsys):
         # a*(z) is proportional to 1 - 4z: stripping would answer wrongly

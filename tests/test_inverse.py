@@ -243,11 +243,11 @@ class TestOneFactorization:
         pair = nlft_forward(F)
         n_points = 512
         _, records = layer_strip_detailed(pair, (-6, 9), n_points=n_points)
-        records = [r for r in records if r.reflected == reflected]
+        # the case named ``reflected`` takes the truncations below 0
+        records = [r for r in records if (r.n < 0) == reflected]
         assert records
-        source = reflect_pair(pair) if reflected else pair
         for rec in records:
-            single = rh_solve(RhSystem.build(source, rec.n, n_points=n_points))
+            single = rh_solve(RhSystem.build(pair, rec.n, n_points=n_points))
             assert rec.a_star_zero == pytest.approx(single.a_star_zero,
                                                     abs=1e-12)
             for name in ("a", "b", "tilde_a_star", "tilde_b"):
@@ -492,6 +492,48 @@ class TestSchurStripping:
             tracemalloc.stop()
         # one 1024 x 1024 complex matrix takes 16 MiB
         assert peak < 8 * 2**20
+
+
+class TestOnePass:
+    def test_one_schur_pass_and_one_build_per_strip(self, monkeypatch):
+        calls = {"pass": 0, "build": 0}
+        schur, build = su2nlft.inverse._schur_pass, RhSystem.build
+
+        def counting_pass(c):
+            calls["pass"] += 1
+            return schur(c)
+
+        def counting_build(pair, n, n_points=None):
+            calls["build"] += 1
+            return build(pair, n, n_points)
+
+        monkeypatch.setattr(su2nlft.inverse, "_schur_pass", counting_pass)
+        monkeypatch.setattr(RhSystem, "build", counting_build)
+        F = random_instance(12, -6, 9)
+        got, records = layer_strip_detailed(nlft_forward(F), (-6, 9))
+        assert calls == {"pass": 1, "build": 1}
+        assert max_abs_difference(got, F) < 1e-12
+        assert [r.n for r in records] == list(range(-6, 10))
+        assert not any(r.reflected for r in records)
+
+    def test_wide_record_reads_no_dense_solve(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("dense solve run")
+
+        monkeypatch.setattr(su2nlft.inverse, "_dense_solve", fail)
+        pair = nlft_forward(random_instance(5, 0, 4096))
+        _, records = layer_strip_detailed(pair, (0, 4096))
+        assert records[-1].n == 4096
+        assert max_abs_difference(records[-1].b, pair.b) < 1e-12
+
+    def test_record_below_b_reads_the_empty_prefix(self):
+        _, records = layer_strip_detailed(TWO_POINT_PAIR, (-2, 1))
+        below = records[0]
+        assert below.n == -2 and below.a_star_zero == 1.0
+        one = CoefficientSequence.constant(1.0)
+        assert max_abs_difference(below.a, one) == 0.0
+        assert max_abs_difference(below.tilde_a_star, one) == 0.0
+        assert below.b.is_empty and below.tilde_b.is_empty
 
 
 class TestSolverFailures:
