@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -27,20 +28,19 @@ from .core import (
     max_abs_difference,
     pair_from_sequences,
     sobolev_norm,
-    star_reflect,
     weighted_l1_norm,
 )
 from .errors import DeterminantError, NlftError, NumericalError, ValidationError
 from .forward import nlft_forward
 from .inverse import inverse_nlft_detailed, layer_strip_detailed
-from .spectral import require_outer
 from .verify import decay_table, run_pair_checks, run_suite
 
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
 # complex arrays of MAX_GRID_SIZE points (64 MiB each); stripping a
-# window [lo, hi] takes time quadratic in hi - lo(b) + 1 (about half a
-# second for a centred window of width MAX_WINDOW_WIDTH)
+# window [lo, hi] takes time quadratic in hi - lo(b) + 1, which
+# MAX_WINDOW_WIDTH also caps (about 0.6-0.8 s for a centred window of
+# that width, start-up included, on one core of a shared 2-vCPU VM)
 MAX_GRID_SIZE = 1 << 22
 MAX_WINDOW_WIDTH = 1 << 12
 
@@ -81,8 +81,9 @@ class Config:
     def validate(self) -> None:
         for name in ("szego_margin", "solver_tol", "round_trip_tol"):
             val = getattr(self, name)
-            if not _is_number(val) or val <= 0:
-                raise ValidationError(f"config: {name} must be a positive number")
+            if not _is_number(val) or not 0 < val < math.inf:  # NaN too
+                raise ValidationError(
+                    f"config: {name} must be a positive finite number")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValidationError("config: seed must be a non-negative integer")
         if self.grid_size != "auto":
@@ -376,17 +377,27 @@ def _write_convergence_csv(path: str, records) -> None:
                              f"{r.solution_norm:.17g}", f"{r.rhs_norm:.17g}"])
 
 
+def _require_pass_length(b: CoefficientSequence, hi: int) -> None:
+    """Reject a strip up to ``hi`` whose Schur pass, over ``[lo(b), hi]``,
+    is longer than ``MAX_WINDOW_WIDTH``."""
+    length = hi - (0 if b.is_empty else b.support_lo) + 1
+    if length > MAX_WINDOW_WIDTH:
+        raise ValidationError(
+            f"stripping up to index {hi} takes a pass of length {length}, "
+            f"which exceeds the cap {MAX_WINDOW_WIDTH}"
+        )
+
+
 def cmd_inverse(args, cfg: Config) -> int:
     b = load_sequence(args.b)
     if cfg.window is None:
         raise ValidationError("inverse needs --support m..M (or window in config)")
+    _require_pass_length(b, cfg.window[1])
     if args.a is not None:
         a = load_sequence(args.a)
         pair = pair_from_sequences(a, b, cfg.n_points)
         _require_determinant(pair, "supplied pair")
-        require_outer(star_reflect(a))
-        F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol,
-                                          n_points=cfg.n_points)
+        F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol)
         round_trip = max_abs_difference(nlft_forward(F, cfg.n_points).b, b)
     else:
         F, report = inverse_nlft_detailed(
@@ -439,6 +450,8 @@ def cmd_verify(args, cfg: Config) -> int:
             )
     else:
         b = load_sequence(args.b)
+        _require_pass_length(
+            b, b.support_hi if cfg.window is None else cfg.window[1])
         report = run_suite(
             b=b, support_window=cfg.window, n_points=cfg.n_points,
             weights=weights, solver_tol=cfg.solver_tol,

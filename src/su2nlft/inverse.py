@@ -58,6 +58,17 @@ method is the Riemann-Hilbert-Weiss algorithm of Alexis, Lin,
 Mnatsakanyan, Thiele & Wang (arXiv 2407.05634).  The pass starts at
 ``lo(b)`` whatever the sign of the indices, so one pass up to the top
 index of a window strips all of it, negative indices included.
+
+Stripping reads ``c`` without a grid.  When ``a*`` is outer (no zeros
+in the closed disk, ``a*(0) != 0``), ``1/a*`` is analytic in the disk,
+so ``b/a*`` is ``z^lo(b)`` times a power series and its coefficients on
+``[lo(b), hi]`` are the first ``hi - lo(b) + 1`` Taylor coefficients of
+``b z^-lo(b)`` times ``1/a*``: a finite computation on the coefficients
+of ``a*`` and ``b``, with no folding to resolve.  The series of ``1/a*``
+comes from Newton's iteration, which doubles the number of correct
+terms per step.  ``rh_solve`` and ``apply_m`` still sample ``b/a*`` on
+a grid (``RhSystem``), and serve as the reference stripping is tested
+against.
 """
 
 from __future__ import annotations
@@ -88,7 +99,7 @@ from .errors import (
 )
 from .forward import CLAMP_TOL, nlft_forward
 from .spectral import (_b_lo, _ratio_grid, _symbol_samples, grid_quotient,
-                       outer_complement)
+                       outer_complement, require_outer)
 
 logger = logging.getLogger(__name__)
 
@@ -381,20 +392,38 @@ def reflect_pair(pair: NlftPair) -> NlftPair:
     return NlftPair(a_refl, b_refl, pair.grid_residual)
 
 
+def _ratio_taylor(pair: NlftPair, m: int) -> np.ndarray:
+    """The first ``m`` Taylor coefficients of ``b/a*``, from ``lo(b)`` on,
+    for an outer ``a*``: ``b`` times ``1/a*``, whose series comes from
+    Newton's iteration ``r <- r - r (a* r - 1) mod z^n``, ``n`` doubling."""
+    if m <= 0 or pair.b.is_empty:
+        return np.zeros(max(m, 0), dtype=np.complex128)
+    astar = _embed(star_reflect(pair.a).restrict(0, m - 1), 0, m - 1)
+    r = np.array([1.0 / astar[0]])
+    while r.size < m:
+        n = min(2 * r.size, m)
+        e = np.convolve(astar[:n], r)[:n]
+        e[0] -= 1.0
+        r = np.concatenate([r, np.zeros(n - r.size)]) - np.convolve(r, e)[:n]
+    return np.convolve(pair.b.coeffs[:m], r)[:m]
+
+
 def layer_strip_detailed(
     pair: NlftPair,
     support_window: tuple[int, int],
     tol: float = DEFAULT_SOLVER_TOL,
-    n_points: int | None = None,
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """Recover ``F`` on a window together with the per-index solve records.
 
     One generalized Schur pass over the coefficients of ``b/a*`` on
     ``[lo(b), hi]`` (see the module docstring) strips every index of the
     window ``[lo, hi]``, negative ones included: ``F_n = y_j L_jj`` with
-    ``j = n - lo(b)``.  Entries with ``|F_n| < tol`` are reported as
-    zero.  The records come in ascending ``n``; the record at ``n`` is
-    the truncation to ``(F_k)_{k <= n}``.
+    ``j = n - lo(b)``.  Those coefficients are the truncated power series
+    of ``b/a*``, so no grid is sampled; the hypothesis that makes them
+    exact is checked first, and an ``a*`` that is not outer raises
+    ``OuternessError`` (``spectral.require_outer``).  Entries with
+    ``|F_n| < tol`` are reported as zero.  The records come in ascending
+    ``n``; the record at ``n`` is the truncation to ``(F_k)_{k <= n}``.
 
     A record's ``a_star_zero`` and ``solution_norm`` are ``1 / L_jj``,
     so a pivot below 1, which ``I + T T^H >= I`` rules out, fails
@@ -411,9 +440,9 @@ def layer_strip_detailed(
     lo, hi = int(support_window[0]), int(support_window[1])
     if hi < lo:
         raise ValidationError("support window is empty")
-    sys = RhSystem.build(pair, hi, n_points)
+    require_outer(star_reflect(pair.a))
     b_lo = _b_lo(pair)
-    pivots, y = _schur_pass(_window_coeffs(sys.sym_b_over_astar, b_lo, hi))
+    pivots, y = _schur_pass(_ratio_taylor(pair, hi - b_lo + 1))
     # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
     gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
     potential = y * pivots
@@ -441,10 +470,9 @@ def layer_strip(
     pair: NlftPair,
     support_window: tuple[int, int],
     tol: float = DEFAULT_SOLVER_TOL,
-    n_points: int | None = None,
 ) -> CoefficientSequence:
     """Potential on a window via per-index Riemann-Hilbert solves."""
-    F, _ = layer_strip_detailed(pair, support_window, tol, n_points)
+    F, _ = layer_strip_detailed(pair, support_window, tol)
     return F
 
 
@@ -479,12 +507,11 @@ def inverse_nlft_detailed(
     of the completed pair, every solver record, and the coefficient
     error of the forward transform of the result against ``b``.
 
-    ``n_points`` fixes the solver grid, which otherwise doubles until
-    ``b/a*`` resolves; the completion always sizes its own grid.
+    ``n_points`` is the grid of the completion (``outer_complement``),
+    which otherwise sizes its own; stripping needs no grid.
     """
-    pair = outer_complement(b, szego_margin=szego_margin)
-    F, records = layer_strip_detailed(pair, support_window, tol,
-                                      n_points=n_points)
+    pair = outer_complement(b, n_points, szego_margin)
+    F, records = layer_strip_detailed(pair, support_window, tol)
     check = nlft_forward(F)
     rt = max_abs_difference(check.b, b)
     report = InverseReport(pair.grid_residual, records, rt)

@@ -234,7 +234,8 @@ def _symbol_samples(pair: NlftPair, n_points: int | None,
     grid doubling from ``start`` on which ``b/a*`` has no coefficient
     above ``CLAMP_TOL`` on the top half ``[lo(b) + N/2, lo(b) + N)`` of
     its index range, which folds back (``ConsistencyError`` past
-    ``core.MAX_GRID``)."""
+    ``core.MAX_GRID``).  ``RhSystem`` and the checks sample here; layer
+    stripping reads ``b/a*`` as a power series and samples nothing."""
     lo = _b_lo(pair)
 
     def sampled(grid):

@@ -592,15 +592,14 @@ def check_contraction(records) -> CheckRecord:
 
 
 def check_round_trip(F: CoefficientSequence, pair: NlftPair,
-                     n_points: int | None = None, solver_tol: float = 1e-12,
-                     tol: float = ROUND_TRIP_TOL,
+                     solver_tol: float = 1e-12, tol: float = ROUND_TRIP_TOL,
                      szego_margin: float = 1e-6):
-    """Invert the forward output and compare; also yields the contraction record."""
+    """Invert the forward output and compare; also yields the contraction
+    record.  The completion of ``pair.b`` sizes its own grid, and
+    stripping needs none."""
     window = (F.support_lo, F.support_hi) if not F.is_empty else (0, 0)
     recovered, report = inverse_nlft_detailed(
-        pair.b, window, n_points=n_points, tol=solver_tol,
-        szego_margin=szego_margin,
-    )
+        pair.b, window, tol=solver_tol, szego_margin=szego_margin)
     rt = _round_trip_record(max_abs_difference(recovered, F), tol,
                             f"window=[{window[0]},{window[1]}]")
     return rt, check_contraction(report.records)
@@ -712,7 +711,9 @@ def run_suite(
     numerical errors flip the overall flag; monitored ratios never do.
     ``metadata["grid"]`` is the grid of the determinant check, and of the
     decay checks when ``n_points`` is given; the plancherel, LU and
-    antisymmetry records name their own.
+    antisymmetry records name their own.  The round trips take no
+    ``n_points``: their completion sizes its own grid, and stripping
+    needs none.
 
     ``b/a*`` is built once for the decay records and, without
     ``n_points``, its fold grid is also the LU check's (raised to the
@@ -736,7 +737,7 @@ def run_suite(
                 b,
                 support_window if support_window is not None
                 else (b.support_lo, b.support_hi),
-                n_points=n_points, tol=solver_tol, szego_margin=szego_margin,
+                tol=solver_tol, szego_margin=szego_margin,
             )
         except NumericalError as exc:
             report.records.append(
@@ -783,8 +784,8 @@ def run_suite(
     if inverse_records is None:
         try:
             rt, contraction = check_round_trip(
-                F, pair, n_points=n_points, solver_tol=solver_tol,
-                tol=round_trip_tol, szego_margin=szego_margin)
+                F, pair, solver_tol=solver_tol, tol=round_trip_tol,
+                szego_margin=szego_margin)
             report.records.append(rt)
             report.records.append(contraction)
         except NumericalError as exc:

@@ -22,6 +22,8 @@ from su2nlft import (
     decay_table,
     first_certified_index,
     grid_quotient,
+    layer_strip,
+    layer_strip_detailed,
     nlft_forward,
     run_pair_checks,
     reflect_pair,
@@ -141,7 +143,8 @@ class TestRatioGrids:
     (check_lu_factorization, "tol"), (check_antisymmetry, "tol"),
     (check_contraction, "tol"), (check_quantitative_baxter, "epsilon"),
     (run_suite, "sobolev_orders"), (first_certified_index, "n_points"),
-    (first_certified_index, "search_window"),
+    (first_certified_index, "search_window"), (layer_strip, "n_points"),
+    (layer_strip_detailed, "n_points"), (check_round_trip, "n_points"),
 ])
 def test_fixed_settings_are_not_parameters(func, name):
     assert name not in inspect.signature(func).parameters

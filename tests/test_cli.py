@@ -237,18 +237,20 @@ class TestInverse:
                      "--support", "0..1"]) == 2
         assert "winds" in capsys.readouterr().err
 
-    def test_supplied_a_beyond_the_grid_cap_exits_two(self, tmp_path,
-                                                      capsys):
-        # a* has a zero at |z| = 1.00043: b/a* needs more than 2^18 points
-        pair = nlft_forward(CoefficientSequence.from_dict(
-            {0: 1.1654 - 0.4929j, 1: -0.6748 - 0.4107j}))
+    def test_supplied_a_beyond_the_old_grid_cap_strips(self, tmp_path):
+        # a* has a zero at |z| = 1.00043: b/a* needs more than 2^18 grid
+        # points, but stripping reads it as a power series
+        F = {0: 1.1654 - 0.4929j, 1: -0.6748 - 0.4107j}
+        pair = nlft_forward(CoefficientSequence.from_dict(F))
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
+        out = tmp_path / "F.json"
         a.write_text(sequence_to_json(pair.a))
         b.write_text(sequence_to_json(pair.b))
         assert main(["inverse", "--b", str(b), "--a", str(a),
-                     "--support", "0..1"]) == 2
-        assert "largest grid" in capsys.readouterr().err
+                     "--support", "0..1", "--out", str(out)]) == 0
+        assert max_abs_difference(load_sequence(str(out)),
+                                  CoefficientSequence.from_dict(F)) <= 1e-10
 
     @pytest.mark.parametrize("with_a", [False, True])
     def test_missed_round_trip_exits_two(self, tmp_path, capsys, with_a):
@@ -435,13 +437,22 @@ class TestEnvConfig:
         assert main(["inverse", "--b", b]) == 1
 
     @pytest.mark.parametrize("text", ['{"solver_tol": "x"}', '{"seed": -1}',
-                                      '{"weight": 5}'])
+                                      '{"weight": 5}',
+                                      '{"szego_margin": NaN}',
+                                      '{"round_trip_tol": NaN}',
+                                      '{"solver_tol": Infinity}'])
     def test_bad_config_value_rejected(self, tmp_path, monkeypatch, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
         monkeypatch.setenv("NLFT_CONFIG", str(cfg))
         inp = write_seq(tmp_path / "f.json", TWO_POINT)
         assert main(["verify", "--input", inp]) == 1
+
+    def test_nan_tol_rejected(self, tmp_path, capsys):
+        b = write_seq(tmp_path / "b.json", TWO_POINT)
+        assert main(["inverse", "--b", b, "--support", "0..1",
+                     "--tol", "nan"]) == 1
+        assert "positive finite" in capsys.readouterr().err
 
 
 class TestSizeCaps:
@@ -463,6 +474,13 @@ class TestSizeCaps:
     def test_huge_support_flag_rejected(self, tmp_path, capsys, command):
         b = write_seq(tmp_path / "b.json", {0: 0.3})
         assert main([command, "--b", b, "--support", f"0..{10**12}"]) == 1
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inverse", "verify"])
+    def test_long_pass_above_b_rejected(self, tmp_path, capsys, command):
+        # a narrow window far above b still strips from lo(b) up
+        b = write_seq(tmp_path / "b.json", {0: 0.3})
+        assert main([command, "--b", b, "--support=16000..16000"]) == 1
         assert "exceeds the cap" in capsys.readouterr().err
 
     def test_huge_config_window_rejected(self, tmp_path, monkeypatch, capsys):

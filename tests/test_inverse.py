@@ -14,6 +14,7 @@ from su2nlft import (
     ConsistencyError,
     ConvergenceError,
     GridSizeError,
+    NlftPair,
     NumericalError,
     OuternessError,
     RhSystem,
@@ -242,7 +243,7 @@ class TestOneFactorization:
         F = random_instance(12, -6, 9)
         pair = nlft_forward(F)
         n_points = 512
-        _, records = layer_strip_detailed(pair, (-6, 9), n_points=n_points)
+        _, records = layer_strip_detailed(pair, (-6, 9))
         # the case named ``reflected`` takes the truncations below 0
         records = [r for r in records if (r.n < 0) == reflected]
         assert records
@@ -385,7 +386,7 @@ def large_potential_draws(count):
 
 
 def assert_strip_matches_single_solves(pair, window, n_points):
-    F, records = layer_strip_detailed(pair, window, n_points=n_points)
+    F, records = layer_strip_detailed(pair, window)
     assert len(records) == window[1] - window[0] + 1
     for rec in records:
         source = reflect_pair(pair) if rec.reflected else pair
@@ -415,15 +416,10 @@ class TestSchurStripping:
             layer_strip(pair, (0, 7), tol=1e-30)
 
     def test_non_finite_symbol_raises(self, monkeypatch):
-        build = RhSystem.build
+        def nan_ratio(pair, m):
+            return np.full(m, np.nan, dtype=np.complex128)
 
-        def nan_build(pair, n, n_points=None):
-            sys_ = build(pair, n, n_points)
-            t = np.full_like(sys_.sym_b_over_astar, np.nan)
-            return RhSystem(pair, n, sys_.n_points, sys_.bandwidth, t,
-                            np.conj(t))
-
-        monkeypatch.setattr(RhSystem, "build", nan_build)
+        monkeypatch.setattr(su2nlft.inverse, "_ratio_taylor", nan_ratio)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             layer_strip(TWO_POINT_PAIR, (0, 1))
 
@@ -511,7 +507,7 @@ class TestOnePass:
         monkeypatch.setattr(RhSystem, "build", counting_build)
         F = random_instance(12, -6, 9)
         got, records = layer_strip_detailed(nlft_forward(F), (-6, 9))
-        assert calls == {"pass": 1, "build": 1}
+        assert calls == {"pass": 1, "build": 0}
         assert max_abs_difference(got, F) < 1e-12
         assert [r.n for r in records] == list(range(-6, 10))
         assert not any(r.reflected for r in records)
@@ -604,5 +600,49 @@ class TestDataSizedSolverGrid:
         assert calls == []
 
     def test_grid_cap_raises_numerical_error(self):
+        pair = nlft_forward(NEAR_CIRCLE)
         with pytest.raises(ConsistencyError, match="largest grid"):
-            layer_strip(nlft_forward(NEAR_CIRCLE), (0, 1))
+            RhSystem.build(pair, 1)
+        # stripping reads b/a* as a power series and needs no grid
+        F = layer_strip(pair, (0, 1))
+        assert max_abs_difference(F, NEAR_CIRCLE) <= 1e-12
+
+
+class TestGridFreeStripping:
+    def test_width_8192_strips(self):
+        F = random_instance(5, 0, 8191)
+        got = layer_strip(nlft_forward(F), (0, 8191))
+        assert max_abs_difference(got, F) <= 1e-12
+
+    def test_every_large_potential_strips(self):
+        for F, pair in large_potential_draws(10):
+            got = layer_strip(pair, (F.support_lo, F.support_hi))
+            assert max_abs_difference(got, F) \
+                <= 1e-12 * np.max(np.abs(F.coeffs))
+
+    def test_a_star_shorter_than_the_pass(self):
+        # a* = 1/sqrt(2) alone; the series of 1/a* still needs 4 terms
+        F = CoefficientSequence(0, 3, np.array([1.0, 0.0, 0.0, 0.0]))
+        got = layer_strip(nlft_forward(F), (0, 3))
+        assert max_abs_difference(got, F) <= 1e-12
+
+    def test_non_outer_a_star_raises(self):
+        # a*(0) = 0: a* winds once around 0
+        pair = NlftPair(TWO_POINT_PAIR.a.shift(-1), TWO_POINT_PAIR.b, 0.0)
+        with pytest.raises(OuternessError):
+            layer_strip(pair, (0, 1))
+
+    def test_inverse_grid_is_the_completion_grid(self, monkeypatch):
+        grids = []
+        complete = su2nlft.inverse.outer_complement
+
+        def spy(b, n_points=None, *args, **kwargs):
+            grids.append(n_points)
+            return complete(b, n_points, *args, **kwargs)
+
+        monkeypatch.setattr(su2nlft.inverse, "outer_complement", spy)
+        F = random_instance(3, 0, 7)
+        got, _ = inverse_nlft_detailed(nlft_forward(F).b, (0, 7),
+                                       n_points=1024)
+        assert grids == [1024]
+        assert max_abs_difference(got, F) <= 1e-10
