@@ -464,13 +464,18 @@ def to_grid(s: CoefficientSequence, n_points: int) -> GridFunction:
     -------
     GridFunction
     """
-    _check_grid(n_points)
-    if n_points < 4 * (s.width + 1):
-        raise GridSizeError(
-            f"grid size {n_points} too small for support width {s.width} "
-            f"(need at least {4 * (s.width + 1)})"
-        )
+    _check_oversampled(s.width, n_points)
     return GridFunction(n_points, _eval_samples(s, n_points))
+
+
+def _check_oversampled(width: int, n_points: int) -> None:
+    """The grid rule of ``to_grid``: a power of two ``>= 4 (width + 1)``."""
+    _check_grid(n_points)
+    if n_points < 4 * (width + 1):
+        raise GridSizeError(
+            f"grid size {n_points} too small for support width {width} "
+            f"(need at least {4 * (width + 1)})"
+        )
 
 
 def _window_coeffs(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -618,13 +623,41 @@ def derivative(s: CoefficientSequence) -> CoefficientSequence:
 # ---------------------------------------------------------------------------
 
 
+def _power_samples(seqs, n_points: int) -> np.ndarray:
+    """Real samples of ``sum_s |s(z_j)|^2`` on the grid; each ``s`` needs
+    ``width <= n_points - 1``.
+
+    The coefficients of ``sum_s |s|^2`` are the summed autocorrelations,
+    taken by FFTs of window size ``m = 2 p2(max width)``, which hold
+    every lag without wrapping.  One real inverse FFT of length
+    ``n_points`` samples them; when ``m >= n_points`` the lags are first
+    folded mod ``n_points``.  Either way the samples are exact.
+    """
+    _check_grid(n_points)
+    width = max(s.width for s in seqs)
+    if width > n_points - 1:
+        raise GridSizeError(
+            f"support width {width} does not fit on a {n_points}-point grid"
+        )
+    m = 2 * _power_of_two_at_least(width)
+    padded = np.zeros((len(seqs), m), dtype=np.complex128)
+    for row, s in zip(padded, seqs):
+        row[: s.width] = s.coeffs
+    spec = np.fft.fft(padded)
+    lags = np.fft.ifft(np.sum(spec.real ** 2 + spec.imag ** 2, axis=0))
+    if m >= n_points:
+        lags = lags.reshape(m // n_points, n_points).sum(axis=0)
+    else:  # lags 0 .. m/2 - 1; the negative ones are their conjugates
+        lags = lags[: m // 2]
+    return np.fft.irfft(lags[: n_points // 2 + 1], n_points, norm="forward")
+
+
 def determinant_residual(
     a: CoefficientSequence, b: CoefficientSequence, n_points: int
 ) -> float:
-    """``max_j | |a(z_j)|^2 + |b(z_j)|^2 - 1 |`` on the grid."""
-    av = _eval_samples(a, n_points)
-    bv = _eval_samples(b, n_points)
-    return float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)))
+    """``max_j | |a(z_j)|^2 + |b(z_j)|^2 - 1 |`` on the grid, from the
+    autocorrelations of ``a`` and ``b`` (``_power_samples``)."""
+    return float(np.max(np.abs(_power_samples((a, b), n_points) - 1.0)))
 
 
 def pair_from_sequences(

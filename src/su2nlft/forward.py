@@ -22,9 +22,10 @@ the factors are applied one at a time,
 where ``z^k b*`` and ``z^k a`` are the conjugate reversals of the first
 ``k + 1`` coefficients of ``b`` and ``a*``.  All blocks run this
 recursion together: O(64 w) work in 64 vectorized steps.  Adjacent
-blocks then merge pairwise, because the product of two adjacent parts
-of the support is the transform of their union.  Each merge is four FFT
-convolutions, so the whole product costs O(w log^2 w).  ``su2_product``
+blocks then merge pairwise, level by level, because the product of two
+adjacent parts of the support is the transform of their union.  Each
+merge is four FFT convolutions, and all merges of a level run as one
+batch of FFTs, so the whole product costs O(w log^2 w).  ``su2_product``
 (the same merge on ``CoefficientSequence`` values) and the multilinear
 expansion are independent routes to the transform that the tests
 cross-check against it.
@@ -40,7 +41,6 @@ import numpy as np
 from .core import (
     CoefficientSequence,
     NlftPair,
-    _power_of_two_at_least,
     convolve,
     default_grid_size,
     determinant_residual,
@@ -110,7 +110,11 @@ def _product_arrays(c: np.ndarray, f: np.ndarray) -> np.ndarray:
     ``c_k = 1 / nu_k`` and ``f_k = F_k / nu_k`` for ``F`` on ``[0, w - 1]``.
     ``F`` is padded with zeros (identity factors) to whole leaf blocks;
     the blocks are multiplied out together by ``_leaf_arrays`` and then
-    merged pairwise by ``_merge``.
+    merged level by level, every adjacent pair of a level in one
+    ``_merge`` call.  On a level with an odd number of blocks the last
+    one is merged with an identity block (``a* = 1``, ``b = 0``) of its
+    width, which pads it with zeros and needs no FFT.  Nothing pads the
+    block count to a power of two.
     """
     w = f.size
     leaf = min(w, _LEAF_WIDTH)
@@ -120,14 +124,15 @@ def _product_arrays(c: np.ndarray, f: np.ndarray) -> np.ndarray:
         np.concatenate([c, np.ones(pad)]).reshape(nb, leaf),
         np.concatenate([f, np.zeros(pad, dtype=np.complex128)]).reshape(nb, leaf),
     )
-
-    def product(i: int, j: int) -> np.ndarray:  # blocks i .. j - 1
-        if j - i == 1:
-            return blocks[i]
-        m = (i + j) // 2
-        return _merge(product(i, m), product(m, j))
-
-    return product(0, nb)[:, :w]
+    while len(blocks) > 1:
+        pairs = len(blocks) // 2
+        merged = _merge(blocks[0 : 2 * pairs : 2], blocks[1 : 2 * pairs : 2])
+        if len(blocks) % 2:  # times an identity block: padded with zeros
+            last = np.zeros_like(merged[:1])
+            last[..., : blocks.shape[2]] = blocks[-1:]
+            merged = np.concatenate([merged, last])
+        blocks = merged
+    return blocks[0, :, :w]
 
 
 def _leaf_arrays(c: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -152,24 +157,28 @@ def _leaf_arrays(c: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _merge(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Rows ``(a*, b)`` of two adjacent blocks of widths ``h`` and ``r``.
+    """Rows ``(a*, b)`` of pairs of adjacent blocks, each of width ``h``.
 
-    With ``(A1, B1) = s1`` and ``(A2, B2) = s2``, the second block taken
-    relative to its own first index,
+    ``s1`` and ``s2`` have shape ``(pairs, 2, h)``.  With ``(A1, B1)`` a
+    row of ``s1`` and ``(A2, B2)`` the same row of ``s2``, the second
+    block taken relative to its own first index,
 
         a* = A1 A2 - z (conj-rev B1) B2,    b = z (conj-rev A1) B2 + B1 A2,
 
     where ``conj-rev`` reverses a length-``h`` array and conjugates it.
-    The four products are FFT convolutions of length ``>= h + r``.
+    The four products are cyclic FFT convolutions of length ``2 h``,
+    which hold the linear ones, taken for every pair at once; the result
+    has shape ``(pairs, 2, 2 h)``.
     """
-    h, r = s1.shape[1], s2.shape[1]
-    x = np.zeros((6, _power_of_two_at_least(h + r)), dtype=np.complex128)
-    x[0:2, :h] = s1
-    x[2:4, 1 : h + 1] = np.conj(s1[:, ::-1])
-    x[4:6, :r] = s2
+    pairs, _, h = s1.shape
+    x = np.zeros((pairs, 6, 2 * h), dtype=np.complex128)
+    x[:, 0:2, :h] = s1
+    x[:, 2:4, 1 : h + 1] = np.conj(s1[:, :, ::-1])
+    x[:, 4:6, :h] = s2
     X = np.fft.fft(x)
-    y = np.stack([X[0] * X[4] - X[3] * X[5], X[2] * X[5] + X[1] * X[4]])
-    return np.fft.ifft(y)[:, : h + r]
+    y = np.stack([X[:, 0] * X[:, 4] - X[:, 3] * X[:, 5],
+                  X[:, 2] * X[:, 5] + X[:, 1] * X[:, 4]], axis=1)
+    return np.fft.ifft(y)
 
 
 def a_star_at_zero(F: CoefficientSequence) -> float:

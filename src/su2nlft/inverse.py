@@ -437,10 +437,23 @@ def layer_strip_detailed(
     forward transform of the stripped potential on ``[lo(b), n]``,
     computed when first read; reading them solves no system.
     """
+    lo, hi = _strip_window(support_window)
+    require_outer(star_reflect(pair.a))
+    return _strip_outer(pair, lo, hi, tol)
+
+
+def _strip_window(support_window: tuple[int, int]) -> tuple[int, int]:
     lo, hi = int(support_window[0]), int(support_window[1])
     if hi < lo:
         raise ValidationError("support window is empty")
-    require_outer(star_reflect(pair.a))
+    return lo, hi
+
+
+def _strip_outer(
+    pair: NlftPair, lo: int, hi: int, tol: float
+) -> tuple[CoefficientSequence, list[RhSolution]]:
+    """``layer_strip_detailed`` on ``[lo, hi]`` for a pair whose ``a*``
+    its caller has certified outer."""
     b_lo = _b_lo(pair)
     pivots, y = _schur_pass(_ratio_taylor(pair, hi - b_lo + 1))
     # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
@@ -508,10 +521,12 @@ def inverse_nlft_detailed(
     error of the forward transform of the result against ``b``.
 
     ``n_points`` is the grid of the completion (``outer_complement``),
-    which otherwise sizes its own; stripping needs no grid.
+    which otherwise sizes its own; stripping needs no grid.  The
+    completion certifies its ``a*`` outer, so stripping does not check
+    it again.
     """
     pair = outer_complement(b, n_points, szego_margin)
-    F, records = layer_strip_detailed(pair, support_window, tol)
+    F, records = _strip_outer(pair, *_strip_window(support_window), tol)
     check = nlft_forward(F)
     rt = max_abs_difference(check.b, b)
     report = InverseReport(pair.grid_residual, records, rt)

@@ -9,14 +9,20 @@ Among all solutions the normalization picks the one whose star dual
 
 so ``a* = exp(P g)`` with ``P`` the analytic (Herglotz) projection,
 evaluated with FFTs on a uniform grid.  ``a*(0) = exp(g^(0))`` is the
-exponential of the mean of ``g``, automatically positive.  Outerness of
-the truncated polynomial is checked after the fact by a winding count on
-the unit circle, where ``|a*|^2 = 1 - |b|^2`` keeps ``a*`` away from 0.
-The count is taken on the smallest power-of-two grid on which the
-sampled values certify it: for ``p(z) = sum_k c_k z^k`` on ``|z| = rho``
-and ``S = sum_k k |c_k| rho^k``, ``2 pi S / N < min_j |p(rho z_j)|``
-keeps every arc between neighbouring samples inside a disk that
-excludes 0, so the phase-unwrapped count on ``N`` samples is exact.
+exponential of the mean of ``g``, automatically positive.  For ``b`` of
+width ``w`` the trigonometric polynomial ``1 - |b|^2`` has degree
+``w - 1``, so by the Fejer-Riesz theorem its outer factor ``a*`` is a
+polynomial of degree ``w - 1``; coefficients beyond are quadrature
+error and are dropped.  ``|b|^2`` on the grid, and the determinant
+residual of the completed pair, are sampled from autocorrelations
+(``core._power_samples``).  Outerness of the truncated polynomial is
+checked after the fact by a winding count on the unit circle, where
+``|a*|^2 = 1 - |b|^2`` keeps ``a*`` away from 0.  The count is taken on
+the smallest power-of-two grid on which the sampled values certify it:
+for ``p(z) = sum_k c_k z^k`` on ``|z| = rho`` and
+``S = sum_k k |c_k| rho^k``, ``2 pi S / N < min_j |p(rho z_j)|`` keeps
+every arc between neighbouring samples inside a disk that excludes 0,
+so the phase-unwrapped count on ``N`` samples is exact.
 """
 
 from __future__ import annotations
@@ -30,15 +36,17 @@ from .core import (
     CoefficientSequence,
     GridFunction,
     NlftPair,
+    _check_oversampled,
     _doubling_grid,
     _eval_samples,
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
+    _power_samples,
     _window_coeffs,
+    determinant_residual,
     from_grid,
     star_reflect,
-    to_grid,
 )
 from .errors import (
     GridSizeError,
@@ -66,13 +74,22 @@ WINDING_RADIUS = 0.999
 
 
 def _analytic_projection_exp(g: np.ndarray) -> np.ndarray:
-    """Samples of ``exp(g^(0) + 2 sum_{n>0} g^(n) z^n)`` for real ``g``."""
+    """Samples of ``exp(g^(0) + 2 sum_{n>0} g^(n) z^n)`` for real ``g``.
+
+    On the grid the exponent is ``g + i h``, with ``h`` the conjugate
+    function ``sum_{0<n<N/2} 2 Im(g^(n) z^n)``, one real inverse FFT away
+    from ``g``; so the samples are ``exp(g) (cos h + i sin h)``.
+    """
     n = g.size
-    folded = np.zeros(n, dtype=np.complex128)
-    folded[: n // 2 + 1] = np.fft.rfft(g, norm="forward")
-    folded[1 : n // 2] *= 2.0  # Nyquist bin kept once; content is ~0
-    log_astar = np.fft.ifft(folded, norm="forward")
-    return np.exp(log_astar, out=log_astar)
+    spec = np.fft.rfft(g, norm="forward")
+    spec *= -1j
+    spec[0] = spec[-1] = 0.0  # h has no mean and no Nyquist term
+    h = np.fft.irfft(spec, n, norm="forward")
+    modulus = np.exp(g)
+    out = np.empty(n, dtype=np.complex128)
+    np.multiply(modulus, np.cos(h), out=out.real)
+    np.multiply(modulus, np.sin(h), out=out.imag)
+    return out
 
 
 def _circle_values(
@@ -122,8 +139,8 @@ def outer_complement(
 ) -> NlftPair:
     """Complete ``b`` to a pair ``(a, b)`` with outer ``a*`` and ``a*(0) > 0``.
 
-    Coefficients of ``a*`` are kept up to index ``4 * width(b)``; the
-    discarded tail mass is logged.
+    ``a*`` is kept on ``[0, width(b) - 1]``, the degree of the exact
+    outer factor; the tail mass beyond it is logged at DEBUG.
 
     Parameters
     ----------
@@ -131,11 +148,13 @@ def outer_complement(
         Upper entry of the sought pair; needs ``sup |b| <= 1 - szego_margin``
         on the grid.
     n_points : int, optional
-        FFT grid size (power of two), used as the only grid.  When absent
-        the grid doubles from 4x the window up to ``core.MAX_GRID``; the
-        quadrature error of the logarithmic integrand decays
-        geometrically in the grid size, at a rate set by how close the
-        zeros of ``a`` come to the circle.
+        FFT grid size, a power of two ``>= 4 (width(b) + 1)``
+        (``GridSizeError`` otherwise), used as the only grid.  When
+        absent the grid doubles from ``16 width(b)`` up to
+        ``core.MAX_GRID`` until the pair meets the determinant identity
+        within ``PAIR_RESIDUAL_TOL``; the quadrature error of the
+        logarithmic integrand decays geometrically in the grid size, at
+        a rate set by how close the zeros of ``a`` come to the circle.
     szego_margin : float
         Required distance of ``sup |b|`` from 1.
 
@@ -149,32 +168,30 @@ def outer_complement(
         If the assembled pair misses the determinant identity by more
         than 1e-10 on the largest grid allowed.
     """
-    window_hi = 4 * max(b.width, 1)
+    if n_points is not None:
+        _check_oversampled(b.width, n_points)
+    degree = max(b.width - 1, 0)
 
     def assemble(n):
-        mod_b = np.abs(to_grid(b, n).samples)
-        sup_b = float(np.max(mod_b)) if mod_b.size else 0.0
+        abs2_b = _power_samples((b,), n)
+        sup_b = float(np.sqrt(np.max(abs2_b)))
         if sup_b > 1.0 - szego_margin:
             raise SzegoMarginError(
                 f"sup |b| = {sup_b:.12g} is within {szego_margin:.3e} of 1"
             )
-        abs2_b = mod_b ** 2
         # coefficients 0 .. n - 2 of a*: the window the grid resolves
         coeffs = np.fft.fft(_analytic_projection_exp(0.5 * np.log1p(-abs2_b)),
                             norm="forward")[: n - 1]
-        hi = min(window_hi, n - 2)
-        tail = float(np.sum(np.abs(coeffs[hi + 1 :])))
+        tail = float(np.sum(np.abs(coeffs[degree + 1 :])))
         logger.debug("outer_complement N=%d tail mass beyond %d: %.3e",
-                     n, window_hi, tail)
-        astar = CoefficientSequence(0, hi, coeffs[: hi + 1]).trim()
-        # |a| = |a*| on the circle, so the truncated a* and the b samples
-        # already held give the determinant residual of the pair
-        abs2_a = np.abs(_eval_samples(astar, n)) ** 2
-        residual = float(np.max(np.abs(abs2_a + abs2_b - 1.0)))
+                     n, degree, tail)
+        astar = CoefficientSequence(0, degree, coeffs[: degree + 1]).trim()
+        # |a| = |a*| on the circle: this is the residual of the pair
+        residual = determinant_residual(astar, b, n)
         return residual, (astar, residual)
 
     _, (astar, residual) = _doubling_grid(
-        n_points or _power_of_two_at_least(4 * window_hi), assemble,
+        n_points or _power_of_two_at_least(16 * max(b.width, 1)), assemble,
         PAIR_RESIDUAL_TOL, "outer complement determinant residual",
         n_points or MAX_GRID)
     require_outer(astar)
@@ -188,16 +205,21 @@ def require_outer(astar: CoefficientSequence) -> None:
     layer stripping assumes there are none.  The count is certified:
     with ``S = sum_k k |c_k|`` bounding ``|d a*(e^{it}) / dt|``, a grid
     of ``N`` samples on which ``2 pi S / N < min_j |a*(z_j)|`` leaves no
-    zero on the circle and makes the phase-unwrapped count exact.  ``N``
-    starts at the smallest power of two above ``deg a*`` and doubles
-    until the certificate holds, up to ``4 * MAX_GRID`` samples;
-    past that the count is taken uncertified and logged at DEBUG.
+    zero on the circle and makes the phase-unwrapped count exact.  By
+    discrete Parseval ``min_j |a*(z_j)| <= |c|_2`` on any grid above
+    ``deg a*``, so no ``N <= 2 pi S / |c|_2`` certifies: ``N`` starts
+    at the smallest power of two above both ``deg a*`` and that bound
+    and doubles until the certificate holds, up to ``4 * MAX_GRID``
+    samples; past that the count is taken uncertified and logged at
+    DEBUG.
     Rounding in the samples, of the order of ``eps * sum_k |c_k|``, is
     left out of the certificate.
     """
     k = np.arange(astar.support_lo, astar.support_hi + 1)
     slope = float(np.sum(k * np.abs(astar.coeffs)))
-    n = _power_of_two_at_least(astar.support_hi + 1)
+    norm = astar.l2_norm()
+    bound = min(2.0 * np.pi * slope / norm if norm else 0.0, 4 * MAX_GRID - 1)
+    n = _power_of_two_at_least(max(astar.support_hi + 1, int(bound) + 1))
     while True:
         vals = _circle_values(astar, n, 1.0)
         certified = 2.0 * np.pi * slope / n < float(np.min(np.abs(vals)))

@@ -38,6 +38,7 @@ from .core import (
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
+    _power_samples,
     _window_multiply,
     derivative,
     max_abs_difference,
@@ -179,9 +180,7 @@ def check_determinant(pair: NlftPair, n_points: int | None = None) -> CheckRecor
     """``max_j | |a|^2 + |b|^2 - 1 |`` on the grid against ``DET_TOL``."""
     if n_points is None:
         n_points = _pair_grid(pair)
-    av = _eval_samples(pair.a, n_points)
-    bv = _eval_samples(pair.b, n_points)
-    s = np.abs(av) ** 2 + np.abs(bv) ** 2
+    s = _power_samples((pair.a, pair.b), n_points)
     residual = float(np.max(np.abs(s - 1.0)))
     return CheckRecord(
         name="determinant",

@@ -21,7 +21,7 @@ from su2nlft import (
     to_grid,
     weighted_l1_norm,
 )
-from su2nlft.core import reciprocal_residual
+from su2nlft.core import _eval_samples, determinant_residual, reciprocal_residual
 
 
 def seq(entries):
@@ -111,6 +111,38 @@ class TestGrid:
         assert default_grid_size(0) == 8
         assert default_grid_size(1) == 16
         assert default_grid_size(33) == 512
+
+
+class TestDeterminantResidual:
+    @staticmethod
+    def random_seq(rng, width):
+        if width == 0:
+            return CoefficientSequence.empty()
+        lo = int(rng.integers(-50, 50))
+        vals = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        return CoefficientSequence(lo, lo + width - 1, vals / np.sqrt(2 * width))
+
+    def test_matches_the_direct_formula(self):
+        # grids from the smallest that holds the widths up to 8x that,
+        # so lags beyond n_points / 2 fold
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            a = self.random_seq(rng, int(rng.integers(0, 41)))
+            b = self.random_seq(rng, int(rng.integers(0, 41)))
+            smallest = 1 << max(a.width, b.width).bit_length()
+            for n in (smallest << k for k in range(4)):
+                direct = float(np.max(np.abs(
+                    np.abs(_eval_samples(a, n)) ** 2
+                    + np.abs(_eval_samples(b, n)) ** 2 - 1.0)))
+                assert determinant_residual(a, b, n) == pytest.approx(
+                    direct, rel=1e-12, abs=1e-14)
+
+    def test_empty_entries(self):
+        empty = CoefficientSequence.empty()
+        b = seq({2: 0.6})
+        assert determinant_residual(empty, empty, 8) == 1.0
+        assert determinant_residual(empty, b, 4) == pytest.approx(0.64)
+        assert determinant_residual(b, empty, 16) == pytest.approx(0.64)
 
 
 class TestStarReflect:

@@ -163,6 +163,15 @@ class TestDivideAndConquer:
                       + 1j * rng.standard_normal(width))
         assert_matches_fold(CoefficientSequence(7, 7 + width - 1, vals))
 
+    @pytest.mark.parametrize("width", [4097, 6000])
+    def test_odd_levels_match_factor_fold(self, width):
+        # 65 and 94 leaf blocks: levels with an odd number of blocks;
+        # |F|_2^2 near 1/2 keeps a*(0) well away from the clamp
+        rng = np.random.default_rng(width)
+        vals = 0.5 * (rng.standard_normal(width)
+                      + 1j * rng.standard_normal(width)) / np.sqrt(width)
+        assert_matches_fold(CoefficientSequence(0, width - 1, vals))
+
     def test_negative_lo_with_interior_zeros(self):
         rng = np.random.default_rng(23)
         width = 2 * LEAF + 5

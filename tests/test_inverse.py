@@ -632,6 +632,21 @@ class TestGridFreeStripping:
         with pytest.raises(OuternessError):
             layer_strip(pair, (0, 1))
 
+    def test_one_winding_check_per_inverse(self, monkeypatch):
+        checked = []
+        check = su2nlft.spectral.require_outer
+
+        def spy(astar):
+            checked.append(astar)
+            return check(astar)
+
+        monkeypatch.setattr(su2nlft.spectral, "require_outer", spy)
+        monkeypatch.setattr(su2nlft.inverse, "require_outer", spy)
+        F = random_instance(3, -4, 7)
+        got, _ = inverse_nlft_detailed(nlft_forward(F).b, (-4, 7))
+        assert len(checked) == 1
+        assert max_abs_difference(got, F) <= 1e-10
+
     def test_inverse_grid_is_the_completion_grid(self, monkeypatch):
         grids = []
         complete = su2nlft.inverse.outer_complement

@@ -104,6 +104,28 @@ class TestOuterComplement:
         assert max_abs_difference(comp.a, pair.a) < 1e-10
         assert comp.grid_residual <= 1e-10
 
+    def test_a_star_keeps_the_degree_of_b(self):
+        # 1 - |b|^2 has degree width(b) - 1, and so has its outer factor
+        rng = np.random.default_rng(4)
+        vals = rng.standard_normal(37) + 1j * rng.standard_normal(37)
+        random_b = CoefficientSequence(3, 39, 0.5 * vals / np.abs(vals).sum())
+        for b in (TWO_POINT_PAIR.b, width_1024_pair().b, random_b):
+            a = outer_complement(b).a
+            assert a.support_lo >= -(b.width - 1) and a.support_hi <= 0
+
+    def test_explicit_grid_below_4x_the_width_rejected(self):
+        b = CoefficientSequence(0, 9, np.full(10, 0.05, dtype=complex))
+        with pytest.raises(GridSizeError):
+            outer_complement(b, n_points=32)
+
+
+def width_1024_pair():
+    """The pair of ``test_width_1024_recovers_forward_a``."""
+    rng = np.random.default_rng(11)
+    vals = 0.25 * (rng.standard_normal(1024)
+                   + 1j * rng.standard_normal(1024)) / 32.0
+    return nlft_forward(CoefficientSequence(0, 1023, vals))
+
 
 def from_roots(roots):
     """Monic polynomial with the given zeros, coefficients ascending."""
@@ -148,6 +170,24 @@ class TestCertifiedWinding:
         vals = spectral._circle_values(p, grid_sizes[-1], 1.0)
         slope = np.sum(np.arange(p.width) * np.abs(p.coeffs))
         assert 2 * np.pi * slope / grid_sizes[-1] < np.min(np.abs(vals))
+
+    @pytest.mark.parametrize("case", range(len(CASES) + 1))
+    def test_starts_above_the_parseval_bound(self, case, grid_sizes):
+        # min_j |p(z_j)| <= |c|_2, so no grid N <= 2 pi S / |c|_2 certifies
+        if case < len(self.CASES):
+            roots = self.CASES[case]
+            p, inside = from_roots(roots), sum(abs(r) < 1 for r in roots)
+        else:
+            p = star_reflect(outer_complement(width_1024_pair().b).a)
+            inside = 0
+        grid_sizes.clear()
+        if inside:
+            with pytest.raises(OuternessError, match=f"winds {inside} times"):
+                require_outer(p)
+        else:
+            require_outer(p)
+        slope = np.sum(np.arange(p.width) * np.abs(p.coeffs))
+        assert min(grid_sizes) > 2 * np.pi * slope / p.l2_norm()
 
     def test_zero_near_circle_doubles_the_grid(self, grid_sizes):
         with pytest.raises(OuternessError):
