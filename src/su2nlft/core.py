@@ -415,8 +415,12 @@ def _doubling_grid(start: int, measure, target: float, what: str,
     """First ``(n, result)`` on ``n = start, 2 start, ...`` whose
     ``measure(n) = (error, result)`` has ``error <= target`` (never a NaN).
 
-    Raises ``ConsistencyError`` when ``2 n`` would pass ``cap``.
+    Raises ``ConsistencyError`` when ``2 n`` would pass ``cap``, and
+    before any measure when ``start`` already does.
     """
+    if start > cap:
+        raise ConsistencyError(f"{what}: the start grid of {start} points is "
+                               f"above {cap}, the largest grid allowed")
     n = start
     while True:
         error, result = measure(n)
@@ -644,7 +648,16 @@ def _power_samples(seqs, n_points: int) -> np.ndarray:
     for row, s in zip(padded, seqs):
         row[: s.width] = s.coeffs
     spec = np.fft.fft(padded)
-    lags = np.fft.ifft(np.sum(spec.real ** 2 + spec.imag ** 2, axis=0))
+    return _lag_samples(np.sum(spec.real ** 2 + spec.imag ** 2, axis=0),
+                        n_points)
+
+
+def _lag_samples(power: np.ndarray, n_points: int) -> np.ndarray:
+    """Real samples on the grid of the function whose coefficients are
+    ``ifft(power)``: a power spectrum on ``m = power.size`` points, of
+    sequences of width at most ``m / 2`` (see ``_power_samples``)."""
+    m = power.size
+    lags = np.fft.ifft(power)
     if m >= n_points:
         lags = lags.reshape(m // n_points, n_points).sum(axis=0)
     else:  # lags 0 .. m/2 - 1; the negative ones are their conjugates

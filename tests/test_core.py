@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from su2nlft import (
     BeurlingWeight,
     CoefficientSequence,
+    ConsistencyError,
     GridSizeError,
     VanishingSymbolError,
     WeightError,
@@ -21,7 +22,12 @@ from su2nlft import (
     to_grid,
     weighted_l1_norm,
 )
-from su2nlft.core import _eval_samples, determinant_residual, reciprocal_residual
+from su2nlft.core import (
+    _doubling_grid,
+    _eval_samples,
+    determinant_residual,
+    reciprocal_residual,
+)
 
 
 def seq(entries):
@@ -111,6 +117,36 @@ class TestGrid:
         assert default_grid_size(0) == 8
         assert default_grid_size(1) == 16
         assert default_grid_size(33) == 512
+
+
+class TestDoublingGrid:
+    def test_doubles_until_the_target(self):
+        errors = {8: 1.0, 16: 0.5, 32: 1e-3}
+        assert _doubling_grid(8, lambda n: (errors[n], n), 1e-2, "x") \
+            == (32, 32)
+
+    def test_stops_at_the_cap(self):
+        sizes = []
+
+        def measure(n):
+            sizes.append(n)
+            return 1.0, None
+
+        with pytest.raises(ConsistencyError, match="on 64 points"):
+            _doubling_grid(16, measure, 0.5, "x", cap=64)
+        assert sizes == [16, 32, 64]
+
+    def test_start_above_the_cap_measures_nothing(self):
+        sizes = []
+
+        def measure(n):
+            sizes.append(n)
+            return 0.0, None
+
+        with pytest.raises(ConsistencyError,
+                           match="start grid of 128 points is above 64"):
+            _doubling_grid(128, measure, 0.5, "x", cap=64)
+        assert sizes == []
 
 
 class TestDeterminantResidual:

@@ -1,10 +1,12 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from su2nlft import (
     CoefficientSequence,
+    ConsistencyError,
     GridSizeError,
     OuternessError,
     SzegoMarginError,
@@ -22,6 +24,7 @@ from su2nlft import (
     BeurlingWeight,
 )
 from su2nlft import spectral
+from su2nlft.core import MAX_GRID
 from su2nlft.spectral import require_outer
 
 
@@ -117,6 +120,103 @@ class TestOuterComplement:
         b = CoefficientSequence(0, 9, np.full(10, 0.05, dtype=complex))
         with pytest.raises(GridSizeError):
             outer_complement(b, n_points=32)
+
+
+@pytest.fixture
+def completion_grids(monkeypatch):
+    """Grid sizes on which ``outer_complement`` samples ``|.|^2``."""
+    sizes = []
+    lag_samples = spectral._lag_samples
+
+    def spy(power, n_points):
+        sizes.append(n_points)
+        return lag_samples(power, n_points)
+
+    monkeypatch.setattr(spectral, "_lag_samples", spy)
+    return sizes
+
+
+def newton_steps(caplog):
+    """``(N, step count)`` of each DEBUG line ``outer_complement`` logged."""
+    return [(int(n), int(k)) for n, k in re.findall(
+        r"outer_complement N=(\d+) Newton steps (\d+)", caplog.text)]
+
+
+def wide_law_pair(seed, width):
+    """A forward pair of the benchmark's wide law: entries of modulus up
+    to 0.3 with uniform phase, the linear part scaled to sup 0.6, then
+    0.9x until ``sup |b| <= 0.9`` on an 8x grid."""
+    rng = np.random.default_rng(seed)
+    vals = 0.3 * np.sqrt(rng.random(width)) \
+        * np.exp(2j * np.pi * rng.random(width))
+    grid = 8 * width
+    vals *= 0.6 / np.max(np.abs(np.fft.fft(vals, grid)))
+    while True:
+        pair = nlft_forward(CoefficientSequence(0, width - 1, vals))
+        if np.max(np.abs(np.fft.fft(pair.b.coeffs, grid))) <= 0.9:
+            return pair
+        vals = 0.9 * vals
+
+
+def roadmap_law_pair(width):
+    """``F`` on ``[0, width - 1]`` with entries
+    ``0.3 (N(0,1) + i N(0,1)) / sqrt(width)`` (seed 0) and its pair."""
+    rng = np.random.default_rng(0)
+    vals = 0.3 * (rng.standard_normal(width)
+                  + 1j * rng.standard_normal(width)) / np.sqrt(width)
+    return nlft_forward(CoefficientSequence(0, width - 1, vals))
+
+
+class TestNewtonRefinement:
+    def test_width_4096_completes_on_a_4x_grid(self, completion_grids,
+                                                caplog):
+        pair = wide_law_pair(7, 4096)
+        with caplog.at_level(logging.DEBUG, logger="su2nlft.spectral"):
+            comp = outer_complement(pair.b)
+        assert set(completion_grids) == {1 << 14}
+        # the Weiss estimate misses the identity on 2^14 points; Newton
+        # steps meet it
+        assert [n for n, k in newton_steps(caplog) if k > 0] == [1 << 14]
+        assert comp.grid_residual <= spectral.PAIR_RESIDUAL_TOL
+        assert max_abs_difference(comp.a, pair.a) <= 1e-13
+        c0 = star_reflect(comp.a).coefficient(0)
+        assert c0.imag == 0.0 and c0.real > 0
+
+    @pytest.mark.parametrize("width", [1 << 14, 1 << 15])
+    def test_roadmap_law_widths_complete(self, width, completion_grids):
+        pair = roadmap_law_pair(width)
+        comp = outer_complement(pair.b)
+        assert comp.grid_residual <= spectral.PAIR_RESIDUAL_TOL
+        assert max_abs_difference(comp.a, pair.a) <= 1e-12
+        assert max(completion_grids) <= 16 * width
+
+    def test_width_512_keeps_the_16x_grid_and_takes_no_step(self, caplog):
+        pair = wide_law_pair(7, 512)
+        with caplog.at_level(logging.DEBUG, logger="su2nlft.spectral"):
+            comp = outer_complement(pair.b)
+        assert newton_steps(caplog) == [(1 << 13, 0)]
+        assert max_abs_difference(comp.a, pair.a) <= 1e-13
+
+    def test_stalled_refinement_on_an_explicit_grid_raises(self, caplog):
+        # a* has a zero at 1/0.9999 - 1 ~ 1e-4 from the circle: 64 points
+        # leave the Newton correction too aliased to converge
+        b = seq({0: 0.49995, 1: 0.49995})
+        with caplog.at_level(logging.DEBUG, logger="su2nlft.spectral"):
+            with pytest.raises(ConsistencyError, match="on 64 points"):
+                outer_complement(b, n_points=64)
+        assert newton_steps(caplog)[0][1] >= 1
+        # the default grid doubles past that and completes
+        comp = outer_complement(b)
+        assert comp.grid_residual <= spectral.PAIR_RESIDUAL_TOL
+
+    def test_start_grid_above_the_cap_raises_before_sampling(
+            self, completion_grids):
+        width = (1 << 16) + 1
+        b = CoefficientSequence(0, width - 1, np.full(width, 1e-6 + 0j))
+        with pytest.raises(ConsistencyError,
+                           match=f"{1 << 19} points is above {MAX_GRID}"):
+            outer_complement(b)
+        assert completion_grids == []
 
 
 def width_1024_pair():
