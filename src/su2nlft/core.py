@@ -294,8 +294,8 @@ class BeurlingWeight:
                  attested: bool = False):
         if kind not in ("one", "poly", "custom"):
             raise WeightError(f"unknown weight kind {kind!r}")
-        if kind == "poly" and alpha < 0:
-            raise WeightError("polynomial weight needs alpha >= 0")
+        if kind == "poly" and not 0 <= alpha < np.inf:  # NaN fails too
+            raise WeightError("polynomial weight needs a finite alpha >= 0")
         if kind == "custom":
             if evaluator is None:
                 raise WeightError("custom weight needs an evaluator")

@@ -97,7 +97,7 @@ from .errors import (
     GridSizeError,
     ValidationError,
 )
-from .forward import CLAMP_TOL, nlft_forward
+from .forward import CLAMP_TOL, _forward_sequences, nlft_forward
 from .spectral import (_b_lo, _ratio_grid, _symbol_samples, grid_quotient,
                        outer_complement, require_outer)
 
@@ -334,30 +334,32 @@ def _schur_pass(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``y = L^{-1} c``, by the generalized Schur algorithm on the
     generators ``(e_0, c)`` (see the module docstring)."""
     size = c.size
-    # before step k, g[:, :size - k] holds rows k.. of the two generators
-    # and of c minus the columns of L substituted so far
-    g = np.zeros((3, size), dtype=np.complex128)
-    g[0, :1] = 1.0
-    g[1] = c
-    g[2] = c
+    # before step k, A[:, k:] holds rows k.. of the two generators and
+    # of c minus the columns of L substituted so far; B takes the step
+    A = np.zeros((3, size), dtype=np.complex128)
+    A[0, :1] = 1.0
+    A[1] = c
+    A[2] = c
+    B = np.empty_like(A)
     step = np.eye(3, dtype=np.complex128)
-    pivots = np.empty(size)
-    y = np.empty(size, dtype=np.complex128)
+    pivots, y = [], []
     for k in range(size):
-        alpha, beta, rest = g[:, 0].tolist()
+        alpha, beta, rest = A[:, k].tolist()
         pivot = math.hypot(abs(alpha), abs(beta))
-        pivots[k] = pivot
-        y[k] = rest / pivot
+        pivots.append(pivot)
+        y.append(rest / pivot)
         # rows 0-1 rotate (alpha, beta) to (pivot, 0); the rotated first
         # generator is column k of L, which row 2 substitutes
         u, v = alpha / pivot, beta / pivot
         step[0, 0], step[0, 1] = u.conjugate(), v.conjugate()
         step[1, 0], step[1, 1] = -v, u
         step[2, 0], step[2, 1] = -y[k] * u.conjugate(), -y[k] * v.conjugate()
-        new = step @ g[:, :size - k]
-        g[0, :size - k - 1] = new[0, :-1]  # moves one row down
-        g[1:, :size - k - 1] = new[1:, 1:]  # leading entries are now zero
-    return pivots, y
+        np.matmul(step, A[:, k:], out=B[:, k:])
+        # row 0 moves one row down; rows 1-2 drop their leading zeros
+        # by starting at k + 1 next step
+        B[0, k + 1:] = B[0, k:-1]
+        A, B = B, A
+    return np.array(pivots), np.array(y, dtype=np.complex128)
 
 
 def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
@@ -458,24 +460,24 @@ def _strip_outer(
     pivots, y = _schur_pass(_ratio_taylor(pair, hi - b_lo + 1))
     # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
     gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
+    # indices below b hold the trivial solution x = (1, 0)
+    start = min(max(lo, b_lo), hi + 1)
+    failed = np.flatnonzero(~(gaps[start - b_lo:] <= tol))  # NaN fails
+    if failed.size:
+        j = start - b_lo + int(failed[0])
+        raise ConvergenceError(
+            f"pivot identity misses by {gaps[j]:.3e} > {tol:.1e} "
+            f"at truncation {j + b_lo}"
+        )
     potential = y * pivots
     arr = np.zeros(hi - lo + 1, dtype=np.complex128)
-    records: list[RhSolution] = []
-    for n in range(lo, hi + 1):
-        j = n - b_lo
-        if j < 0:  # below b: the trivial solution x = (1, 0)
-            records.append(_StripRecord(n, 1.0, 0.0, potential, b_lo))
-            continue
-        gap = float(gaps[j])
-        if not gap <= tol:
-            raise ConvergenceError(
-                f"pivot identity misses by {gap:.3e} > {tol:.1e} "
-                f"at truncation {n}"
-            )
-        arr[n - lo] = potential[j]
-        records.append(_StripRecord(n, 1.0 / float(pivots[j]), gap,
-                                    potential, b_lo))
+    arr[start - lo:] = potential[start - b_lo:]
     arr[np.abs(arr) < tol] = 0.0
+    a_star_zero, residual = (1.0 / pivots).tolist(), gaps.tolist()
+    records: list[RhSolution] = [
+        _StripRecord(n, 1.0, 0.0, potential, b_lo) for n in range(lo, start)]
+    records += [_StripRecord(n, a_star_zero[n - b_lo], residual[n - b_lo],
+                             potential, b_lo) for n in range(start, hi + 1)]
     return CoefficientSequence(lo, hi, arr).trim(), records
 
 
@@ -523,12 +525,12 @@ def inverse_nlft_detailed(
     ``n_points`` is the grid of the completion (``outer_complement``),
     which otherwise sizes its own; stripping needs no grid.  The
     completion certifies its ``a*`` outer, so stripping does not check
-    it again.
+    it again.  The round trip reads only the ``b`` of the forward
+    transform of the result, so it samples no grid either.
     """
     pair = outer_complement(b, n_points, szego_margin)
     F, records = _strip_outer(pair, *_strip_window(support_window), tol)
-    check = nlft_forward(F)
-    rt = max_abs_difference(check.b, b)
+    rt = max_abs_difference(_forward_sequences(F)[1], b)
     report = InverseReport(pair.grid_residual, records, rt)
     logger.info(
         "inverse_nlft window=%s pair_residual=%.3e solver_residual=%.3e "

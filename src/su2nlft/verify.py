@@ -491,8 +491,8 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     blocks = iter(np.split(draws, np.cumsum(sizes)[:-1]))
 
     def rounds(block):  # the rounds of one input as columns
-        re, im = np.split(block, 2)
-        return re + 1j * im
+        h = len(block) // 2
+        return block[:h] + 1j * block[h:]
 
     coeffs = {}  # grid coefficients of each symbol a probe reads
 
@@ -547,10 +547,10 @@ def check_antisymmetry(pair: NlftPair, n: int | None = None,
     sys = RhSystem.build(pair, n, n_points or max(
         _pair_grid(pair), _power_of_two_at_least(2 * (n - _b_lo(pair) + 2))))
     w = sys.bandwidth
-    rng = np.random.default_rng(seed)
-    # columns x_0, y_0, x_1, y_1, ... in the order they are drawn
-    v = np.stack([rng.standard_normal(2 * w) + 1j * rng.standard_normal(2 * w)
-                  for _ in range(2 * n_probes)], axis=1)
+    # columns x_0, y_0, x_1, y_1, ... in the order they are drawn, each
+    # its real parts, then its imaginary parts
+    draws = np.random.default_rng(seed).standard_normal((2 * n_probes, 2, 2 * w))
+    v = (draws[:, 0] + 1j * draws[:, 1]).T.copy()
     mv = np.concatenate(_apply_m_vec(sys, v[:w], v[w:]))
     x, y, mx, my = v[:, 0::2], v[:, 1::2], mv[:, 0::2], mv[:, 1::2]
     # <u, v> = sum u conj(v)

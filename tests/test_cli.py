@@ -368,6 +368,14 @@ class TestVerify:
         assert len(sinh) == 1
         assert sinh[0]["weight"] == "poly:alpha=1"
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_weight_exits_1(self, tmp_path, alpha):
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--input", inp, "--weight",
+                     f"poly:alpha={alpha}", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_seed_flag(self, tmp_path):
         inp = write_seq(tmp_path / "f.json", TWO_POINT)
         assert main(["verify", "--input", inp, "--seed", "3",
@@ -396,6 +404,15 @@ class TestNorms:
                      "--weight", "poly:alpha=3.0"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert "poly:alpha=3.0" in obj["weighted_l1"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_weight_exits_1(self, tmp_path, capsys, alpha):
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        assert main(["norms", "--input", inp,
+                     "--weight", f"poly:alpha={alpha}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite alpha" in captured.err
 
 
 class TestEnvConfig:

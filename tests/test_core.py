@@ -225,6 +225,16 @@ class TestWeights:
         assert w(0) == 1.0
         assert w(-3) == 4.0
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_polynomial_needs_finite_alpha(self, alpha):
+        with pytest.raises(WeightError, match="finite alpha >= 0"):
+            BeurlingWeight.polynomial(alpha)
+
+    @pytest.mark.parametrize("desc", ["poly:alpha=nan", "poly:alpha=inf"])
+    def test_descriptor_needs_finite_alpha(self, desc):
+        with pytest.raises(WeightError):
+            BeurlingWeight.from_descriptor(desc)
+
     def test_custom_needs_attestation(self):
         with pytest.raises(WeightError):
             BeurlingWeight.custom(lambda n: np.ones_like(n, dtype=float))

@@ -165,7 +165,8 @@ class TestDivideAndConquer:
 
     @pytest.mark.parametrize("width", [4097, 6000])
     def test_odd_levels_match_factor_fold(self, width):
-        # 65 and 94 leaf blocks: levels with an odd number of blocks;
+        # block counts that are not powers of two: levels with an odd
+        # number of blocks;
         # |F|_2^2 near 1/2 keeps a*(0) well away from the clamp
         rng = np.random.default_rng(width)
         vals = 0.5 * (rng.standard_normal(width)

@@ -647,6 +647,26 @@ class TestGridFreeStripping:
         assert len(checked) == 1
         assert max_abs_difference(got, F) <= 1e-10
 
+    def test_round_trip_samples_no_grid(self, monkeypatch):
+        # |a|^2 + |b|^2 is sampled only where the completion samples it;
+        # the round trip compares coefficients of b and reads no grid
+        sampled = []
+        power_samples = su2nlft.core._power_samples
+
+        def spy(seqs, n_points):
+            sampled.append(n_points)
+            return power_samples(seqs, n_points)
+
+        F = random_instance(3, -4, 7)
+        b = nlft_forward(F).b
+        monkeypatch.setattr(su2nlft.core, "_power_samples", spy)
+        outer_complement(b)
+        completion, sampled[:] = sampled[:], []
+        got, report = inverse_nlft_detailed(b, (-4, 7))
+        assert sampled == completion
+        assert max_abs_difference(got, F) <= 1e-10
+        assert report.round_trip_residual <= 1e-12
+
     def test_inverse_grid_is_the_completion_grid(self, monkeypatch):
         grids = []
         complete = su2nlft.inverse.outer_complement
