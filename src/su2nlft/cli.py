@@ -31,7 +31,7 @@ from .core import (
     weighted_l1_norm,
 )
 from .errors import DeterminantError, NlftError, NumericalError, ValidationError
-from .forward import nlft_forward
+from .forward import _forward_sequences, nlft_forward
 from .inverse import inverse_nlft_detailed, layer_strip_detailed
 from .verify import decay_table, run_pair_checks, run_suite
 
@@ -398,7 +398,7 @@ def cmd_inverse(args, cfg: Config) -> int:
         pair = pair_from_sequences(a, b, cfg.n_points)
         _require_determinant(pair, "supplied pair")
         F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol)
-        round_trip = max_abs_difference(nlft_forward(F, cfg.n_points).b, b)
+        round_trip = max_abs_difference(_forward_sequences(F)[1], b)
     else:
         F, report = inverse_nlft_detailed(
             b, cfg.window, n_points=cfg.n_points, tol=cfg.solver_tol,

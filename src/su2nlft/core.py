@@ -657,11 +657,10 @@ def _lag_samples(power: np.ndarray, n_points: int) -> np.ndarray:
     ``ifft(power)``: a power spectrum on ``m = power.size`` points, of
     sequences of width at most ``m / 2`` (see ``_power_samples``)."""
     m = power.size
-    lags = np.fft.ifft(power)
     if m >= n_points:
-        lags = lags.reshape(m // n_points, n_points).sum(axis=0)
+        lags = np.fft.ifft(power).reshape(m // n_points, n_points).sum(axis=0)
     else:  # lags 0 .. m/2 - 1; the negative ones are their conjugates
-        lags = lags[: m // 2]
+        lags = np.fft.ihfft(power)[: m // 2]
     return np.fft.irfft(lags[: n_points // 2 + 1], n_points, norm="forward")
 
 

@@ -17,7 +17,9 @@ its Baxter ratios, and its LU check reuses the grid of the first.
 The LU and antisymmetry checks apply grid multipliers to random
 windowed probes as window-sized convolutions by the multipliers' grid
 coefficients (``core._window_multiply``), batched as columns; no probe
-transforms the whole grid.
+transforms the whole grid.  The LU probes that read one symbol share
+one convolution over the union of their windows, and the pointwise LU
+identities are evaluated only in the two entries that can miss.
 """
 
 from __future__ import annotations
@@ -424,8 +426,12 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     support of ``b``, all on four rounds of random windowed probes.  The
     record value is the worst residual, gated at ``LU_TOL``.
 
-    The rounds of a probe run as one batch of window-sized convolutions
-    (see the module docstring); zero entries are skipped.
+    The probes that read one symbol run, all rounds at once, as one
+    window-sized convolution over the union of their windows (see the
+    module docstring); zero entries are skipped.  Pointwise, six entries
+    of ``L U`` and ``Ut Lt`` are entries of ``C`` times exact zeros and
+    ones, so only the ``(0, 0)`` entry of ``L U`` and the ``(1, 1)``
+    entry of ``Ut Lt`` are evaluated.
 
     The compositions vanish exactly only for the bi-infinite symbols;
     on a grid the tails of 1/a alias into the forbidden windows.  The
@@ -445,7 +451,14 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     inv_a, inv_astar = 1.0 / av, 1.0 / astar
     bstar_a, neg_b_astar = bstar / av, -bv / astar
 
-    C = [[one, bstar_a], [neg_b_astar, one]]
+    # entry (0, 0) of C - L U and (1, 1) of C - Ut Lt; the other six are
+    # entries of C times exact zeros and ones, so exactly 0 for finite
+    # symbols
+    res_lu = float(np.max(np.abs(
+        one - (inv_a * inv_astar + bstar_a * neg_b_astar))))
+    res_ul = float(np.max(np.abs(
+        one - (neg_b_astar * bstar_a + inv_astar * inv_a))))
+
     L = [[inv_a, bstar_a], [zero, one]]
     U = [[inv_astar, zero], [neg_b_astar, one]]
     Lt = [[one, bstar_a], [zero, inv_a]]
@@ -454,14 +467,6 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     U_inv = [[astar, zero], [bv, one]]
     Lt_inv = [[one, -bstar], [zero, av]]
     Ut_inv = [[one, zero], [bv, astar]]
-
-    def residual(X, Y, Z):  # max over the grid of |X - Y Z|, entrywise
-        return max(float(np.max(np.abs(
-            X[i][j] - (Y[i][0] * Z[0][j] + Y[i][1] * Z[1][j]))))
-            for i in range(2) for j in range(2))
-
-    res_lu = residual(C, L, U)
-    res_ul = residual(C, Ut, Lt)
 
     n_probes = 4
     n, k = _lu_window(pair)
@@ -482,37 +487,59 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
         + [(Lt, *split_in), (Lt_inv, *split_in),
            (Ut, *split_out), (Ut_inv, *split_out)]
     )
+    # the terms of each symbol, keyed by identity, as (first row of its
+    # input in the draw, input window, first row of its output in
+    # ``rows``, output window); zero entries are skipped
+    groups, in_starts, row_starts, row_probes = {}, [], [], []
+    at = n_rows = 0
+    for p, (T, ins, outs) in enumerate(probes):
+        in_starts.append(at)
+        offsets = []
+        for w in ins:
+            offsets.append(at)
+            at += 2 * (w[1] - w[0] + 1) if w else 0
+        for row, out in zip(T, outs):
+            terms = [(sym, o, w) for sym, o, w in zip(row, offsets, ins)
+                     if out and w and sym is not zero]
+            if not terms:
+                continue
+            if row_probes[-1:] != [p]:  # the first output row of probe p
+                row_probes.append(p)
+                row_starts.append(n_rows)
+            for sym, o, w in terms:
+                groups.setdefault(id(sym), (sym, []))[1].append(
+                    (o, w, n_rows, out))
+            n_rows += out[1] - out[0] + 1
     # one draw, laid out round by round, probe by probe, input by input,
     # the real parts of an input before its imaginary parts; copied to
     # contiguous rows (one per entry, a column per round)
-    sizes = [2 * (w[1] - w[0] + 1) for _, ins, _ in probes for w in ins if w]
-    draws = np.random.default_rng(seed).standard_normal(
-        (n_probes, sum(sizes))).T.copy()
-    blocks = iter(np.split(draws, np.cumsum(sizes)[:-1]))
+    draws = np.random.default_rng(seed).standard_normal((n_probes, at)).T.copy()
+    in_sq = np.add.reduceat(draws ** 2, in_starts, axis=0)
 
-    def rounds(block):  # the rounds of one input as columns
-        h = len(block) // 2
-        return block[:h] + 1j * block[h:]
-
-    coeffs = {}  # grid coefficients of each symbol a probe reads
-
-    def coef(sym):
-        if id(sym) not in coeffs:
-            coeffs[id(sym)] = np.fft.fft(sym, norm="forward")
-        return coeffs[id(sym)]
-
-    worst_probe = 0.0
-    for T, ins, outs in probes:
-        xs = [rounds(next(blocks)) if w else None for w in ins]
-        in_sq = sum(np.sum(np.abs(x) ** 2, axis=0) for x in xs if x is not None)
-        out_sq = 0.0
-        for row, out in zip(T, outs):
-            terms = [_window_multiply(coef(sym), x, w[0], *out)
-                     for sym, x, w in zip(row, xs, ins)
-                     if out and x is not None and sym is not zero]
-            if terms:
-                out_sq = out_sq + np.sum(np.abs(sum(terms)) ** 2, axis=0)
-        worst_probe = max(worst_probe, float(np.max(np.sqrt(out_sq / in_sq))))
+    rows = np.zeros((n_rows, n_probes), dtype=np.complex128)
+    for sym, terms in groups.values():
+        in_lo = min(w[0] for _, w, _, _ in terms)
+        in_hi = max(w[1] for _, w, _, _ in terms)
+        out_lo = min(out[0] for *_, out in terms)
+        out_hi = max(out[1] for *_, out in terms)
+        # every term's rounds as columns, zero outside its input window
+        x = np.zeros((in_hi - in_lo + 1, n_probes * len(terms)),
+                     dtype=np.complex128)
+        cols = [slice(c * n_probes, (c + 1) * n_probes)
+                for c in range(len(terms))]
+        for col, (o, w, _, _) in zip(cols, terms):
+            h = w[1] - w[0] + 1
+            block = x[w[0] - in_lo:w[1] + 1 - in_lo, col]
+            block.real, block.imag = draws[o:o + h], draws[o + h:o + 2 * h]
+        y = _window_multiply(np.fft.fft(sym, norm="forward"), x, in_lo,
+                             out_lo, out_hi)
+        for col, (_, _, r, out) in zip(cols, terms):
+            h, lo = out[1] - out[0] + 1, out[0] - out_lo
+            rows[r:r + h] += y[lo:lo + h, col]
+    out_sq = np.zeros_like(in_sq)
+    out_sq[row_probes] = np.add.reduceat(rows.real ** 2 + rows.imag ** 2,
+                                         row_starts, axis=0)
+    worst_probe = float(np.max(np.sqrt(out_sq / in_sq)))
 
     value = max(res_lu, res_ul, worst_probe)
     return CheckRecord(

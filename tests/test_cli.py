@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import su2nlft.core
 from su2nlft import (
     CoefficientSequence,
     NlftPair,
@@ -165,6 +166,27 @@ class TestInverse:
                      "--support", "0..1", "--out", str(out)]) == 0
         rec = load_sequence(str(out))
         assert np.max(np.abs(rec.coeffs - [0.5, 0.5])) < 1e-10
+
+    def test_supplied_a_round_trip_samples_no_grid(self, tmp_path,
+                                                   monkeypatch):
+        # |a|^2 + |b|^2 is sampled once, to check the supplied pair; the
+        # round trip compares coefficients of b and reads no grid
+        sampled = []
+        power_samples = su2nlft.core._power_samples
+
+        def spy(seqs, n_points):
+            sampled.append(n_points)
+            return power_samples(seqs, n_points)
+
+        pair = nlft_forward(CoefficientSequence.from_dict(TWO_POINT))
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(sequence_to_json(pair.a))
+        b.write_text(sequence_to_json(pair.b))
+        monkeypatch.setattr(su2nlft.core, "_power_samples", spy)
+        assert main(["inverse", "--b", str(b), "--a", str(a),
+                     "--support", "0..1"]) == 0
+        assert len(sampled) == 1
 
     def test_tampered_a_exits_two(self, tmp_path):
         pair = nlft_forward(CoefficientSequence.from_dict(TWO_POINT))

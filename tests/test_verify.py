@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import su2nlft.verify
 from su2nlft import (
     BeurlingWeight,
     CoefficientSequence,
@@ -29,6 +30,7 @@ from su2nlft import (
     run_pair_checks,
     run_suite,
 )
+from su2nlft.core import _eval_samples
 
 
 def seq(entries):
@@ -211,6 +213,38 @@ class TestLuFactorization:
         # samples of a and b, and coefficients of the five probed symbols
         # 1/a, a, 1, 1/a*, a*: none per probe
         assert len(lengths) == 7
+
+    def test_one_convolution_per_probed_symbol(self, monkeypatch):
+        calls = []
+        window_multiply = su2nlft.verify._window_multiply
+
+        def spy(coeffs, *args):
+            calls.append(coeffs.size)
+            return window_multiply(coeffs, *args)
+
+        monkeypatch.setattr(su2nlft.verify, "_window_multiply", spy)
+        assert check_lu_factorization(TWO_POINT_PAIR, n_points=1024).passed
+        # the twelve probes read 1/a, a, 1, 1/a* and a*
+        assert calls == [1024] * 5
+
+    @pytest.mark.parametrize("pair", [TWO_POINT_PAIR, tampered_pair()])
+    def test_pointwise_residual_is_that_of_all_eight_entries(self, pair):
+        av = _eval_samples(pair.a, 1024)
+        bv = _eval_samples(pair.b, 1024)
+        astar, bstar = np.conj(av), np.conj(bv)
+        one, zero = np.ones(1024, dtype=complex), np.zeros(1024, dtype=complex)
+        bstar_a, neg_b_astar = bstar / av, -bv / astar
+        C = [[one, bstar_a], [neg_b_astar, one]]
+        L = [[1.0 / av, bstar_a], [zero, one]]
+        U = [[1.0 / astar, zero], [neg_b_astar, one]]
+        Lt = [[one, bstar_a], [zero, 1.0 / av]]
+        Ut = [[one, zero], [neg_b_astar, 1.0 / astar]]
+        reference = max(
+            float(np.max(np.abs(
+                C[i][j] - (Y[i][0] * Z[0][j] + Y[i][1] * Z[1][j]))))
+            for Y, Z in ((L, U), (Ut, Lt)) for i in range(2) for j in range(2))
+        rec = check_lu_factorization(pair, n_points=1024)
+        assert rec.lhs == reference
 
 
 class TestOperatorChecks:
