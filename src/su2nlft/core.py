@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -261,16 +262,39 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class NlftPair:
-    """A transform pair ``(a, b)`` with its cached determinant residual.
+    """A transform pair ``(a, b)`` with its determinant residual.
 
     ``grid_residual`` is ``max_j | |a(z_j)|^2 + |b(z_j)|^2 - 1 |`` on the
-    grid it was computed with.  Construction never raises on a large
-    residual; consumers that require the identity check it explicitly.
+    grid it was computed with.  ``NlftPair(a, b, r)`` holds ``r``; a pair
+    from ``pair_from_sequences`` (so from ``nlft_forward``) or
+    ``inverse.reflect_pair`` computes it when first read and caches it.
+    Construction never raises on a large residual; consumers that
+    require the identity check it explicitly.
     """
 
     a: CoefficientSequence
     b: CoefficientSequence
     grid_residual: float
+
+
+class _LazyPair(NlftPair):
+    """An ``NlftPair`` whose ``grid_residual`` is ``self._residual()``,
+    called when first read and then cached.  Made by ``_lazy_pair``;
+    built as ``_LazyPair(a, b, r)``, like ``NlftPair``, it holds ``r``.
+    """
+
+    @functools.cached_property
+    def grid_residual(self) -> float:
+        return self._residual()
+
+
+def _lazy_pair(a: CoefficientSequence, b: CoefficientSequence,
+               residual: Callable[[], float]) -> NlftPair:
+    """The pair ``(a, b)`` whose residual is ``residual()``, on first read."""
+    pair = object.__new__(_LazyPair)
+    for name, value in (("a", a), ("b", b), ("_residual", residual)):
+        object.__setattr__(pair, name, value)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -437,22 +461,33 @@ def _check_grid(n_points: int) -> None:
         raise GridSizeError(f"grid size {n_points} is not a power of two")
 
 
+def _check_fits(width: int, n_points: int) -> None:
+    """The grid rule of the exact samplers: a power of two above ``width``."""
+    _check_grid(n_points)
+    if width > n_points - 1:
+        raise GridSizeError(
+            f"support width {width} does not fit on a {n_points}-point grid"
+        )
+
+
+def _grid_coeffs(s: CoefficientSequence, n_points: int) -> np.ndarray:
+    """The coefficients of ``s`` laid out as ``fft(samples, norm="forward")``
+    of its samples on the grid; requires ``width <= n_points - 1``."""
+    _check_fits(s.width, n_points)
+    spec = np.zeros(n_points, dtype=np.complex128)
+    if not s.is_empty:
+        idx = np.arange(s.support_lo, s.support_hi + 1) % n_points
+        spec[idx] = s.coeffs
+    return spec
+
+
 def _eval_samples(s: CoefficientSequence, n_points: int) -> np.ndarray:
     """Samples of ``s`` on the grid; only requires ``width <= n_points - 1``.
 
     Internal helper: public ``to_grid`` additionally enforces 4x
     oversampling of the support.
     """
-    _check_grid(n_points)
-    if s.width > n_points - 1 and not s.is_empty:
-        raise GridSizeError(
-            f"support width {s.width} does not fit on a {n_points}-point grid"
-        )
-    spec = np.zeros(n_points, dtype=np.complex128)
-    if not s.is_empty:
-        idx = np.arange(s.support_lo, s.support_hi + 1) % n_points
-        spec[idx] = s.coeffs
-    return np.fft.ifft(spec, norm="forward")
+    return np.fft.ifft(_grid_coeffs(s, n_points), norm="forward")
 
 
 def to_grid(s: CoefficientSequence, n_points: int) -> GridFunction:
@@ -637,12 +672,8 @@ def _power_samples(seqs, n_points: int) -> np.ndarray:
     ``n_points`` samples them; when ``m >= n_points`` the lags are first
     folded mod ``n_points``.  Either way the samples are exact.
     """
-    _check_grid(n_points)
     width = max(s.width for s in seqs)
-    if width > n_points - 1:
-        raise GridSizeError(
-            f"support width {width} does not fit on a {n_points}-point grid"
-        )
+    _check_fits(width, n_points)
     m = 2 * _power_of_two_at_least(width)
     padded = np.zeros((len(seqs), m), dtype=np.complex128)
     for row, s in zip(padded, seqs):
@@ -675,10 +706,19 @@ def determinant_residual(
 def pair_from_sequences(
     a: CoefficientSequence, b: CoefficientSequence, n_points: int | None = None
 ) -> NlftPair:
-    """Bundle ``(a, b)`` with the determinant residual on a suitable grid."""
+    """Bundle ``(a, b)`` with their determinant residual on ``n_points``,
+    by default ``default_grid_size`` of the wider entry.
+
+    The residual is ``determinant_residual(a, b, n_points)``, computed
+    when ``grid_residual`` is first read and then cached; a grid that
+    cannot hold both entries raises ``GridSizeError`` here.
+    """
+    width = max(a.width, b.width)
     if n_points is None:
-        n_points = default_grid_size(max(a.width, b.width))
-    return NlftPair(a, b, determinant_residual(a, b, n_points))
+        n_points = default_grid_size(width)
+    _check_fits(width, n_points)
+    return _lazy_pair(a, b, functools.partial(determinant_residual, a, b,
+                                              n_points))
 
 
 def sequences_allclose(

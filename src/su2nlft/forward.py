@@ -42,8 +42,7 @@ from .core import (
     CoefficientSequence,
     NlftPair,
     convolve,
-    default_grid_size,
-    determinant_residual,
+    pair_from_sequences,
     star_reflect,
 )
 from .errors import CombinatoricsError
@@ -75,18 +74,17 @@ def nlft_forward(F: CoefficientSequence, n_points: int | None = None) -> NlftPai
     F : CoefficientSequence
         Finite sequence of complex coefficients.
     n_points : int, optional
-        Grid used for the cached determinant residual; defaults to the
-        auto-sized power of two for the output width.
+        Grid of the determinant residual; defaults to the auto-sized
+        power of two for the output width.  A grid that cannot hold the
+        output raises ``GridSizeError`` at the call.
 
     Returns
     -------
     NlftPair
-        ``(a, b)`` with the determinant residual on the chosen grid.
+        ``(a, b)`` from ``pair_from_sequences``: the determinant residual
+        on the chosen grid is computed when first read, then cached.
     """
-    a, b = _forward_sequences(F)
-    if n_points is None:
-        n_points = default_grid_size(max(a.width, b.width))
-    return NlftPair(a, b, determinant_residual(a, b, n_points))
+    return pair_from_sequences(*_forward_sequences(F), n_points)
 
 
 def _forward_sequences(

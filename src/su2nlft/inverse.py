@@ -84,6 +84,7 @@ from .core import (
     BeurlingWeight,
     CoefficientSequence,
     NlftPair,
+    _lazy_pair,
     _power_of_two_at_least,
     _window_coeffs,
     _window_multiply,
@@ -383,7 +384,10 @@ def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
 
 
 def reflect_pair(pair: NlftPair) -> NlftPair:
-    """The pair ``(a*(1/z), b(1/z))``, i.e. the transform of ``(F_{-k})_k``."""
+    """The pair ``(a*(1/z), b(1/z))``, i.e. the transform of ``(F_{-k})_k``.
+
+    Its ``grid_residual`` is read from ``pair`` when it is first read.
+    """
     a = pair.a
     b = pair.b
     a_refl = a.conjugate()  # coefficients of a*(1/z) are conj(a^(k)) at k
@@ -391,7 +395,7 @@ def reflect_pair(pair: NlftPair) -> NlftPair:
         b_refl = b
     else:
         b_refl = CoefficientSequence(-b.support_hi, -b.support_lo, b.coeffs[::-1])
-    return NlftPair(a_refl, b_refl, pair.grid_residual)
+    return _lazy_pair(a_refl, b_refl, lambda: pair.grid_residual)
 
 
 def _ratio_taylor(pair: NlftPair, m: int) -> np.ndarray:
@@ -532,11 +536,13 @@ def inverse_nlft_detailed(
     F, records = _strip_outer(pair, *_strip_window(support_window), tol)
     rt = max_abs_difference(_forward_sequences(F)[1], b)
     report = InverseReport(pair.grid_residual, records, rt)
-    logger.info(
-        "inverse_nlft window=%s pair_residual=%.3e solver_residual=%.3e "
-        "round_trip=%.3e",
-        support_window, report.pair_residual, report.max_solver_residual, rt,
-    )
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "inverse_nlft window=%s pair_residual=%.3e solver_residual=%.3e "
+            "round_trip=%.3e",
+            support_window, report.pair_residual, report.max_solver_residual,
+            rt,
+        )
     return F, report
 
 

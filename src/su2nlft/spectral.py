@@ -128,10 +128,11 @@ def _circle_values(
 
 
 def _phase_count(vals: np.ndarray) -> int:
-    """Winding of the closed polygon through ``vals`` around 0."""
-    phases = np.angle(vals)
-    steps = np.diff(np.concatenate([phases, phases[:1]]))
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+    """Winding of the closed polygon through ``vals`` around 0: the sum of
+    the turning angles ``arg(v_{j+1} / v_j)``, each in ``(-pi, pi]``.
+    The quotient, unlike ``v_{j+1} conj(v_j)``, neither underflows nor
+    overflows for samples of any finite nonzero size."""
+    steps = np.angle(np.roll(vals, -1) / vals)
     return int(np.rint(steps.sum() / (2.0 * np.pi)))
 
 
@@ -254,12 +255,12 @@ def outer_complement(
         # coefficients 0 .. n - 2 of a*: the window the grid resolves
         coeffs = np.fft.fft(_analytic_projection_exp(0.5 * np.log1p(-abs2_b)),
                             norm="forward")[: n - 1]
-        tail = float(np.sum(np.abs(coeffs[degree + 1 :])))
         astar, residuals = _newton_refine(coeffs[: degree + 1], power_b, abs2_b)
-        logger.debug("outer_complement N=%d Newton steps %d residual "
-                     "%.3e -> %.3e tail mass beyond %d: %.3e", n,
-                     len(residuals) - 1, residuals[0], residuals[-1],
-                     degree, tail)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("outer_complement N=%d Newton steps %d residual "
+                         "%.3e -> %.3e tail mass beyond %d: %.3e", n,
+                         len(residuals) - 1, residuals[0], residuals[-1],
+                         degree, float(np.sum(np.abs(coeffs[degree + 1 :]))))
         return residuals[-1], (astar, residuals[-1])
 
     # Newton steps make 4 w points enough; below 2^13 points (128 KiB of

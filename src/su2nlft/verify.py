@@ -18,8 +18,9 @@ The LU and antisymmetry checks apply grid multipliers to random
 windowed probes as window-sized convolutions by the multipliers' grid
 coefficients (``core._window_multiply``), batched as columns; no probe
 transforms the whole grid.  The LU probes that read one symbol share
-one convolution over the union of their windows, and the pointwise LU
-identities are evaluated only in the two entries that can miss.
+one convolution over the union of their windows, the identity symbol is
+applied by copying, and the pointwise LU identities are evaluated only
+in the two entries that can miss.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     NlftPair,
     _doubling_grid,
     _eval_samples,
+    _grid_coeffs,
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
@@ -45,6 +47,7 @@ from .core import (
     derivative,
     max_abs_difference,
     sobolev_norm,
+    star_reflect,
     weighted_l1_norm,
 )
 from .errors import (
@@ -428,7 +431,10 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
 
     The probes that read one symbol run, all rounds at once, as one
     window-sized convolution over the union of their windows (see the
-    module docstring); zero entries are skipped.  Pointwise, six entries
+    module docstring), by the grid coefficients of ``a`` and ``a*`` as
+    stored and those of ``1/a`` and ``1/a*`` by FFT; the identity copies
+    the overlap of each input and output window, and zero entries are
+    skipped.  Pointwise, six entries
     of ``L U`` and ``Ut Lt`` are entries of ``C`` times exact zeros and
     ones, so only the ``(0, 0)`` entry of ``L U`` and the ``(1, 1)``
     entry of ``Ut Lt`` are evaluated.
@@ -516,8 +522,24 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     draws = np.random.default_rng(seed).standard_normal((n_probes, at)).T.copy()
     in_sq = np.add.reduceat(draws ** 2, in_starts, axis=0)
 
+    # grid coefficients of the convolved symbols: those of a and a* are
+    # the stored coefficients of a and their star reflection, those of
+    # 1/a and 1/a* take FFTs
+    spectra = {id(av): _grid_coeffs(pair.a, n_points),
+               id(astar): _grid_coeffs(star_reflect(pair.a), n_points),
+               id(inv_a): np.fft.fft(inv_a, norm="forward"),
+               id(inv_astar): np.fft.fft(inv_astar, norm="forward")}
     rows = np.zeros((n_rows, n_probes), dtype=np.complex128)
     for sym, terms in groups.values():
+        if sym is one:  # each term copies the overlap of its two windows
+            for o, w, r, out in terms:
+                lo, hi = max(w[0], out[0]), min(w[1], out[1])
+                if lo <= hi:
+                    i, j, h = o + lo - w[0], r + lo - out[0], w[1] - w[0] + 1
+                    rows[j:j + hi - lo + 1] += (
+                        draws[i:i + hi - lo + 1]
+                        + 1j * draws[i + h:i + h + hi - lo + 1])
+            continue
         in_lo = min(w[0] for _, w, _, _ in terms)
         in_hi = max(w[1] for _, w, _, _ in terms)
         out_lo = min(out[0] for *_, out in terms)
@@ -531,8 +553,7 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
             h = w[1] - w[0] + 1
             block = x[w[0] - in_lo:w[1] + 1 - in_lo, col]
             block.real, block.imag = draws[o:o + h], draws[o + h:o + 2 * h]
-        y = _window_multiply(np.fft.fft(sym, norm="forward"), x, in_lo,
-                             out_lo, out_hi)
+        y = _window_multiply(spectra[id(sym)], x, in_lo, out_lo, out_hi)
         for col, (_, _, r, out) in zip(cols, terms):
             h, lo = out[1] - out[0] + 1, out[0] - out_lo
             rows[r:r + h] += y[lo:lo + h, col]

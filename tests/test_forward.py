@@ -3,14 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2nlft.core
 from su2nlft import (
     CoefficientSequence,
     CombinatoricsError,
+    GridSizeError,
     a_star_at_zero,
+    default_grid_size,
+    determinant_residual,
     max_abs_difference,
     multilinear_partial_sum,
     multilinear_term,
     nlft_forward,
+    outer_complement,
+    pair_from_sequences,
+    reflect_pair,
     single_factor,
     star_reflect,
     su2_product,
@@ -190,6 +197,65 @@ class TestDivideAndConquer:
         assert pair.a.coefficient(0) == 1.0
         assert pair.b.is_empty
         assert pair.grid_residual == 0.0
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """The grids on which ``|a|^2 + |b|^2`` is sampled, in call order."""
+    grids = []
+    power_samples = su2nlft.core._power_samples
+
+    def spy(seqs, n_points):
+        grids.append(n_points)
+        return power_samples(seqs, n_points)
+
+    monkeypatch.setattr(su2nlft.core, "_power_samples", spy)
+    return grids
+
+
+class TestLazyResidual:
+    """The determinant residual of a forward pair is sampled on first read."""
+
+    F = CoefficientSequence(-3, 8, 0.3 * np.cos(np.arange(12.0))
+                            + 0.2j * np.sin(np.arange(12.0)))
+
+    def test_forward_and_completion_sample_no_residual(self, sampled):
+        pair = nlft_forward(self.F)
+        outer_complement(pair.b)
+        assert sampled == []
+
+    def test_one_read_samples_once(self, sampled):
+        pair = nlft_forward(self.F)
+        first = pair.grid_residual
+        assert sampled == [default_grid_size(12)]
+        assert pair.grid_residual == first
+        assert len(sampled) == 1
+
+    @pytest.mark.parametrize("n_points", [None, 16, 1024])
+    def test_read_is_the_eager_residual(self, n_points):
+        pair = nlft_forward(self.F, n_points)
+        grid = n_points or default_grid_size(12)
+        assert pair.grid_residual == determinant_residual(pair.a, pair.b, grid)
+
+    @pytest.mark.parametrize("n_points", [8, 24])  # too small; not 2^k
+    def test_bad_grid_raises_at_the_call(self, n_points):
+        with pytest.raises(GridSizeError):
+            nlft_forward(self.F, n_points)
+        pair = nlft_forward(self.F)
+        with pytest.raises(GridSizeError):
+            pair_from_sequences(pair.a, pair.b, n_points)
+
+    def test_a_given_residual_is_held(self, sampled):
+        pair = nlft_forward(self.F)
+        assert type(pair)(pair.a, pair.b, 0.5).grid_residual == 0.5
+        assert sampled == []
+
+    def test_reflect_pair_samples_nothing(self, sampled):
+        pair = nlft_forward(self.F)
+        reflected = reflect_pair(pair)
+        assert sampled == []
+        assert reflected.grid_residual == pair.grid_residual
+        assert len(sampled) == 1
 
 
 class TestHugeCoefficients:

@@ -210,9 +210,9 @@ class TestLuFactorization:
         lengths = _full_grid_transform_spy(monkeypatch, 1024)
         rec = check_lu_factorization(TWO_POINT_PAIR, n_points=1024)
         assert rec.passed
-        # samples of a and b, and coefficients of the five probed symbols
-        # 1/a, a, 1, 1/a*, a*: none per probe
-        assert len(lengths) == 7
+        # samples of a and b, and coefficients of 1/a and 1/a*; those of
+        # a and a* are stored, the identity copies: none per probe
+        assert len(lengths) == 4
 
     def test_one_convolution_per_probed_symbol(self, monkeypatch):
         calls = []
@@ -224,8 +224,8 @@ class TestLuFactorization:
 
         monkeypatch.setattr(su2nlft.verify, "_window_multiply", spy)
         assert check_lu_factorization(TWO_POINT_PAIR, n_points=1024).passed
-        # the twelve probes read 1/a, a, 1, 1/a* and a*
-        assert calls == [1024] * 5
+        # the twelve probes convolve by 1/a, a, 1/a* and a*; 1 copies
+        assert calls == [1024] * 4
 
     @pytest.mark.parametrize("pair", [TWO_POINT_PAIR, tampered_pair()])
     def test_pointwise_residual_is_that_of_all_eight_entries(self, pair):
