@@ -21,14 +21,20 @@ the factors are applied one at a time,
 
 where ``z^k b*`` and ``z^k a`` are the conjugate reversals of the first
 ``k + 1`` coefficients of ``b`` and ``a*``.  All blocks run this
-recursion together: O(8 w) work in 8 vectorized steps.  Adjacent
-blocks then merge pairwise, level by level, because the product of two
-adjacent parts of the support is the transform of their union.  Each
-merge is four FFT convolutions, and all merges of a level run as one
-batch of FFTs, so the whole product costs O(w log^2 w).  ``su2_product``
-(the same merge on ``CoefficientSequence`` values) and the multilinear
-expansion are independent routes to the transform that the tests
-cross-check against it.
+recursion together, with the blocks on the last, contiguous axis:
+O(8 w) work in 8 vectorized steps.  Adjacent blocks then merge
+pairwise, level by level, because the product of two adjacent parts of
+the support is the transform of their union.  Every block carries its
+spectrum, the FFT of its rows: the leaves take one batch FFT, and a
+merge keeps the product spectrum it inverts.  A merge of two blocks of
+width ``h`` needs their ``2 h``-point spectra; the even bins are the
+carried ``h``-point ones, and one batch FFT of the twiddled blocks
+gives the odd bins.  So a level costs one batch of forward FFTs of
+``h`` points and one of inverse FFTs of ``2 h`` points, and the whole
+product O(w log^2 w).  ``su2_product`` (the same merge on
+``CoefficientSequence`` values) and the multilinear expansion are
+independent routes to the transform that the tests cross-check against
+it.
 """
 
 from __future__ import annotations
@@ -60,9 +66,17 @@ CLAMP_TOL = 1e-13  # coefficients below this are treated as exact zeros
 TERM_GUARD = 10**6  # cap on binomial(#support, arity) for enumeration
 # Block width for the factor recursion; wider blocks merge by FFT.  The
 # recursion does O(width * w) work in width steps and every merge level
-# is one batch of FFTs, so narrow blocks win: of 4, 8, 16, 32 and 64, 8
-# was the fastest at widths 128 to 4096 and within 3% of the fastest at
-# 65536.
+# is one batch of FFTs, so narrow blocks win.  Median ms of nlft_forward,
+# 7 interleaved rounds on one core of a shared 2-vCPU VM:
+#
+#   width        16    128    256   1024   2048   4096   65536
+#   leaf 4     0.30   0.50   0.61   1.17   2.01   3.73    96.1
+#   leaf 8     0.28   0.48   0.62   1.15   1.93   3.41    91.4
+#   leaf 16    0.26   0.50   0.58   1.15   1.92   3.43   100.6
+#   leaf 32    0.26   0.62   0.72   1.32   2.09   3.77   105.2
+#
+# No other width is as fast as 8 at every size: 16 wins at 16 (a single
+# leaf), 256 and 2048, by up to 9%, and loses 10% at 65536.
 _LEAF_WIDTH = 8
 
 
@@ -118,76 +132,116 @@ def _product_arrays(c: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     ``c_k = 1 / nu_k`` and ``f_k = F_k / nu_k`` for ``F`` on ``[0, w - 1]``.
     ``F`` is padded with zeros (identity factors) to whole leaf blocks;
-    the blocks are multiplied out together by ``_leaf_arrays`` and then
-    merged level by level, every adjacent pair of a level in one
-    ``_merge`` call.  On a level with an odd number of blocks the last
-    one is merged with an identity block (``a* = 1``, ``b = 0``) of its
-    width, which pads it with zeros and needs no FFT.  Nothing pads the
-    block count to a power of two.
+    the blocks are multiplied out together by ``_leaf_arrays``, take one
+    batch FFT, and are then merged level by level, a whole level per
+    ``_merge`` call, each carrying its spectrum up.  The twiddle and sign
+    tables are built once, for the widest level, and narrower levels
+    read a strided slice of them.  Nothing pads the block count to a
+    power of two.
     """
     w = f.size
     leaf = min(w, _LEAF_WIDTH)
     nb = -(-w // leaf)
     pad = nb * leaf - w
     blocks = _leaf_arrays(
-        np.concatenate([c, np.ones(pad)]).reshape(nb, leaf),
-        np.concatenate([f, np.zeros(pad, dtype=np.complex128)]).reshape(nb, leaf),
+        np.concatenate([c, np.ones(pad)]).reshape(nb, leaf).T,
+        np.concatenate([f, np.zeros(pad, dtype=np.complex128)]).reshape(nb, leaf).T,
     )
-    while len(blocks) > 1:
-        pairs = len(blocks) // 2
-        merged = _merge(blocks[0 : 2 * pairs : 2], blocks[1 : 2 * pairs : 2])
-        if len(blocks) % 2:  # times an identity block: padded with zeros
-            last = np.zeros_like(merged[:1])
-            last[..., : blocks.shape[2]] = blocks[-1:]
-            merged = np.concatenate([merged, last])
-        blocks = merged
+    if nb > 1:
+        top = leaf << (nb - 1).bit_length() - 1  # block width of the last level
+        twiddle, sign = _merge_tables(top)
+        spectra = np.fft.fft(blocks)
+        while len(blocks) > 1:
+            h = blocks.shape[2]
+            blocks, spectra = _merge(blocks, spectra, twiddle[:: top // h],
+                                     sign[:, : 2 * h])
     return blocks[0, :, :w]
 
 
 def _leaf_arrays(c: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Rows ``(a*, b)`` of each row of factors, shape ``(blocks, 2, width)``.
+    """Rows ``(a*, b)`` of each column of factors, shape ``(blocks, 2, width)``.
 
-    Applies the factors of every block at once, in ascending index order:
+    ``c`` and ``f`` have shape ``(width, blocks)``.  Applies the factors
+    of every block at once, in ascending index order:
 
         a*[j] <- c_k a*[j] - f_k conj(b[k - j])
         b[j]  <- c_k b[j]  + f_k conj(a*[k - j])      for 0 <= j <= k.
+
+    The state is held as ``(width, 2, blocks)``, so each step's ufuncs
+    run over the blocks in one contiguous inner loop; the result is a
+    transposed view of it.
     """
-    nb, width = f.shape
-    s = np.zeros((nb, 2, width), dtype=np.complex128)
-    s[:, 0, 0] = 1.0
+    width, nb = f.shape
+    s = np.zeros((width, 2, nb), dtype=np.complex128)
+    s[0, 0] = 1.0
     g = np.stack([-f, f], axis=1)
     for k in range(width):
-        t = np.conj(s[:, ::-1, k::-1])
-        t *= g[:, :, k : k + 1]
-        head = s[:, :, : k + 1]
-        head *= c[:, k, None, None]
+        t = np.conj(s[k::-1, ::-1])
+        t *= g[k]
+        head = s[: k + 1]
+        head *= c[k]
         head += t
-    return s
+    return s.transpose(2, 1, 0)
 
 
-def _merge(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Rows ``(a*, b)`` of pairs of adjacent blocks, each of width ``h``.
+def _merge_tables(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_merge``'s tables for blocks of width ``h``.
 
-    ``s1`` and ``s2`` have shape ``(pairs, 2, h)``.  With ``(A1, B1)`` a
-    row of ``s1`` and ``(A2, B2)`` the same row of ``s2``, the second
-    block taken relative to its own first index,
+    The twiddle ``exp(-i pi j / h)``, ``0 <= j < h``, and the signs
+    ``(-(-1)^k, (-1)^k)``, ``0 <= k < 2 h``, as a ``(2, 2 h)`` array.
+    The tables of width ``h / 2^l`` are ``twiddle[:: 2^l]`` and
+    ``sign[:, : 2 h / 2^l]``.
+    """
+    twiddle = np.exp(-1j * np.pi / h * np.arange(h))
+    sign = np.ones((2, 2 * h))
+    sign[0] = -1.0
+    sign[:, 1::2] *= -1.0
+    return twiddle, sign
+
+
+def _merge(
+    blocks: np.ndarray, spectra: np.ndarray, twiddle: np.ndarray, sign: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge adjacent pairs of blocks of width ``h``; returns the merged
+    blocks, of width ``2 h``, and their spectra.
+
+    ``blocks`` has shape ``(n, 2, h)`` and ``spectra`` is its
+    ``np.fft.fft``; ``twiddle`` and ``sign`` come from
+    ``_merge_tables(h)``.  A caller with two blocks merges them by
+    passing them stacked, with their ``np.fft.fft`` spectra.  With
+    ``(A1, B1)`` a left block and ``(A2, B2)`` the next one, taken
+    relative to its own first index,
 
         a* = A1 A2 - z (conj-rev B1) B2,    b = z (conj-rev A1) B2 + B1 A2,
 
     where ``conj-rev`` reverses a length-``h`` array and conjugates it.
-    The four products are cyclic FFT convolutions of length ``2 h``,
-    which hold the linear ones, taken for every pair at once; the result
-    has shape ``(pairs, 2, 2 h)``.
+    The products are cyclic convolutions of length ``2 h``, which hold
+    the linear ones, taken as products of ``2 h``-point spectra.  Their
+    even bins are the given spectra; the odd bins are the ``h``-point
+    FFT of the block times ``twiddle``.  ``z (conj-rev A1)`` needs no
+    transform: its spectrum is ``(-1)^k conj(fft(A1))``, and ``sign``
+    puts that ``(-1)^k`` and the minus of ``a*`` on ``fft(B2)``.  The product
+    spectra are returned with their inverse FFT.  With ``n`` odd the
+    last block is merged with an identity block (``a* = 1``, ``b = 0``),
+    which pads it with zeros and keeps its ``2 h``-point spectrum.
     """
-    pairs, _, h = s1.shape
-    x = np.zeros((pairs, 6, 2 * h), dtype=np.complex128)
-    x[:, 0:2, :h] = s1
-    x[:, 2:4, 1 : h + 1] = np.conj(s1[:, :, ::-1])
-    x[:, 4:6, :h] = s2
-    X = np.fft.fft(x)
-    y = np.stack([X[:, 0] * X[:, 4] - X[:, 3] * X[:, 5],
-                  X[:, 2] * X[:, 5] + X[:, 1] * X[:, 4]], axis=1)
-    return np.fft.ifft(y)
+    n, _, h = blocks.shape
+    pairs = n // 2
+    full = np.empty((n, 2, 2 * h), dtype=np.complex128)
+    full[..., 0::2] = spectra
+    full[..., 1::2] = np.fft.fft(blocks * twiddle)
+    left, right = full[0 : 2 * pairs : 2], full[1 : 2 * pairs : 2]
+    t = np.conj(left[:, ::-1])
+    t *= right[:, 1:2] * sign
+    y = left * right[:, 0:1]
+    y += t
+    merged = np.fft.ifft(y)
+    if n % 2:
+        last = np.zeros_like(merged[:1])
+        last[..., :h] = blocks[-1:]
+        merged = np.concatenate([merged, last])
+        y = np.concatenate([y, full[-1:]])
+    return merged, y
 
 
 def a_star_at_zero(F: CoefficientSequence) -> float:

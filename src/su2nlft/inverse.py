@@ -512,6 +512,21 @@ class InverseReport:
         return all(r.solution_norm <= r.rhs_norm * (1 + 1e-12) for r in self.records)
 
 
+def _complete_and_strip(
+    b: CoefficientSequence,
+    support_window: tuple[int, int],
+    n_points: int | None,
+    tol: float,
+    szego_margin: float,
+) -> tuple[NlftPair, CoefficientSequence, list[RhSolution]]:
+    """``(pair, F, records)``: ``outer_complement`` of ``b``, then the
+    strip of its window; ``inverse_nlft_detailed`` without the round
+    trip, for callers that check the result their own way."""
+    pair = outer_complement(b, n_points, szego_margin)
+    F, records = _strip_outer(pair, *_strip_window(support_window), tol)
+    return pair, F, records
+
+
 def inverse_nlft_detailed(
     b: CoefficientSequence,
     support_window: tuple[int, int],
@@ -532,8 +547,8 @@ def inverse_nlft_detailed(
     it again.  The round trip reads only the ``b`` of the forward
     transform of the result, so it samples no grid either.
     """
-    pair = outer_complement(b, n_points, szego_margin)
-    F, records = _strip_outer(pair, *_strip_window(support_window), tol)
+    pair, F, records = _complete_and_strip(b, support_window, n_points,
+                                           tol, szego_margin)
     rt = max_abs_difference(_forward_sequences(F)[1], b)
     report = InverseReport(pair.grid_residual, records, rt)
     if logger.isEnabledFor(logging.INFO):

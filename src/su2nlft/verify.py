@@ -57,7 +57,7 @@ from .errors import (
     VanishingSymbolError,
 )
 from .forward import nlft_forward
-from .inverse import (RhSystem, _apply_m_vec, inverse_nlft_detailed,
+from .inverse import (RhSystem, _apply_m_vec, _complete_and_strip,
                       reflect_pair)
 from .spectral import _b_lo, _full_symbol_ratio, _ratio_grid
 
@@ -645,11 +645,11 @@ def check_round_trip(F: CoefficientSequence, pair: NlftPair,
     record.  The completion of ``pair.b`` sizes its own grid, and
     stripping needs none."""
     window = (F.support_lo, F.support_hi) if not F.is_empty else (0, 0)
-    recovered, report = inverse_nlft_detailed(
-        pair.b, window, tol=solver_tol, szego_margin=szego_margin)
+    _, recovered, records = _complete_and_strip(
+        pair.b, window, None, solver_tol, szego_margin)
     rt = _round_trip_record(max_abs_difference(recovered, F), tol,
                             f"window=[{window[0]},{window[1]}]")
-    return rt, check_contraction(report.records)
+    return rt, check_contraction(records)
 
 
 def _round_trip_record(err: float, tol: float, detail: str) -> CheckRecord:
@@ -780,22 +780,20 @@ def run_suite(
         pair = nlft_forward(F, n_points)
     else:
         try:
-            recovered, inv_report = inverse_nlft_detailed(
+            _, F, inverse_records = _complete_and_strip(
                 b,
                 support_window if support_window is not None
                 else (b.support_lo, b.support_hi),
-                tol=solver_tol, szego_margin=szego_margin,
+                None, solver_tol, szego_margin,
             )
         except NumericalError as exc:
             report.records.append(
                 _error_record("inverse_path", "round_trip_recovery", exc))
             report.metadata["input"] = "b"
             return report
-        F = recovered
-        pair = nlft_forward(recovered, n_points)
-        inverse_records = inv_report.records
+        pair = nlft_forward(F, n_points)
         report.records.append(_round_trip_record(
-            inv_report.round_trip_residual, round_trip_tol,
+            max_abs_difference(pair.b, b), round_trip_tol,
             "reconstruction of b from the recovered sequence"))
 
     report.metadata = {

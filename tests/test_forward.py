@@ -199,6 +199,37 @@ class TestDivideAndConquer:
         assert pair.grid_residual == 0.0
 
 
+class TestSpectrumCarry:
+    """Merges carry each block's spectrum up the tree."""
+
+    @pytest.mark.parametrize("blocks", range(1, 34))
+    @pytest.mark.parametrize("short", [0, 3])
+    def test_every_block_count_matches_factor_fold(self, blocks, short):
+        # every parity pattern of the levels up to 33 blocks, with whole
+        # and padded last blocks
+        width = max(1, LEAF * blocks - short)
+        rng = np.random.default_rng(100 * blocks + short)
+        vals = 0.5 * (rng.standard_normal(width)
+                      + 1j * rng.standard_normal(width)) / np.sqrt(width)
+        assert_matches_fold(CoefficientSequence(-5, width - 6, vals))
+
+    def test_fft_points_per_level(self, monkeypatch):
+        # one forward batch of 2 w points for the leaves and one per
+        # merge level for the odd bins; one inverse batch per level
+        points = {"fft": 0, "ifft": 0}
+        for name in points:
+            def spy(x, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                points[_name] += np.size(x)
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        w = 4096
+        levels = (w // LEAF - 1).bit_length()
+        vals = np.full(w, 0.5 / np.sqrt(w), dtype=complex)
+        nlft_forward(CoefficientSequence(0, w - 1, vals))
+        assert points["fft"] <= 2 * w * (levels + 1)
+        assert points["ifft"] <= 2 * w * levels
+
+
 @pytest.fixture
 def sampled(monkeypatch):
     """The grids on which ``|a|^2 + |b|^2`` is sampled, in call order."""

@@ -565,6 +565,21 @@ class TestOuternessNearCircle:
             require_outer(star_reflect(pair.a))
 
 
+class TestOuterPotential:
+    def test_b_alone_recovers_the_outer_potential(self):
+        # the forward a* of F has a zero at |z| = 0.0025, so b alone
+        # determines the potential whose a* is outer, about
+        # (0.075, -15.05i, 0.025), and not F
+        F = CoefficientSequence(0, 2, np.array([30, -20j, 10]))
+        pair = nlft_forward(F)
+        with pytest.raises(OuternessError):
+            require_outer(star_reflect(pair.a))
+        got, report = inverse_nlft_detailed(pair.b, (0, 2))
+        assert report.round_trip_residual <= 1e-12
+        assert max_abs_difference(got, F) > 1.0
+        require_outer(star_reflect(nlft_forward(got).a))
+
+
 # the only zero of a* is at |z| = 1.081, so the coefficients of b/a*
 # decay like 1.081^-k: a grid sized by the width alone aliases them
 SLOW_DECAY = seq({0: -1.1614 - 0.8551j, 1: -0.618 - 0.1709j})

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import su2nlft.forward
 import su2nlft.verify
 from su2nlft import (
     BeurlingWeight,
@@ -351,6 +354,73 @@ class TestRunSuite:
         report = run_suite(F=TWO_POINT)
         lu = [r for r in report.records if r.name == "lu_factorization"]
         assert lu[0].kind == "error" and not report.overall_pass
+
+
+class TestSuiteForwardWork:
+    """Each direction of ``run_suite`` runs one forward transform."""
+
+    F = CoefficientSequence(-4, 7, 0.1 * np.cos(np.arange(12.0))
+                            + 0.05j * np.sin(np.arange(12.0)))
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        widths = []
+        product = su2nlft.forward._product_arrays
+
+        def spy(c, f):
+            widths.append(f.size)
+            return product(c, f)
+
+        monkeypatch.setattr(su2nlft.forward, "_product_arrays", spy)
+        return widths
+
+    def test_forward_suite(self, products):
+        assert run_suite(F=self.F).overall_pass
+        assert products == [12]
+
+    def test_b_suite(self, products):
+        b = nlft_forward(self.F).b
+        products.clear()
+        report = run_suite(b=b, support_window=(-4, 7))
+        assert report.overall_pass
+        assert products == [12]
+        rt = [r for r in report.records if r.name == "round_trip"]
+        assert rt[0].passed and rt[0].value <= 1e-12
+
+
+def _bench_ensemble():
+    """The 100 items of the benchmark's ``verify-ensemble`` workload, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.ensemble(np.random.default_rng(0), 100)
+
+
+def test_ensemble_records_are_kept():
+    """Every ``run_suite`` record of the ``verify-ensemble`` items at grid
+    1024 keeps its name, kind, pass flag and value.
+
+    ``data/verify_ensemble_seed0_records.json`` holds
+    ``[name, kind, passed, value]`` per record, as written by commit
+    454b31d, whose forward merges did not carry spectra and whose round
+    trips ran the forward transform twice.  Forward rounding moves the
+    rounding-level values (LU residuals near 5e-15) by up to 3.1e-15.
+    """
+    want = json.loads((Path(__file__).parent / "data"
+                       / "verify_ensemble_seed0_records.json").read_text())
+    items = _bench_ensemble()
+    assert len(want) == len(items)
+    for (lo, vals), records in zip(items, want):
+        F = CoefficientSequence(lo, lo + len(vals) - 1, vals)
+        got = run_suite(F=F, n_points=1024).records
+        assert [[r.name, r.kind, r.passed] for r in got] == [
+            rec[:3] for rec in records]
+        for r, (*_, value) in zip(got, records):
+            if value is None:
+                assert r.value is None
+            else:
+                assert abs(r.value - value) <= 1e-14 * max(1.0, abs(value))
 
 
 class TestRunPairChecks:
