@@ -32,8 +32,10 @@ from .core import (
 )
 from .errors import DeterminantError, NlftError, NumericalError, ValidationError
 from .forward import _forward_sequences, nlft_forward
-from .inverse import inverse_nlft_detailed, layer_strip_detailed
-from .verify import decay_table, run_pair_checks, run_suite
+from .inverse import (DEFAULT_SOLVER_TOL, inverse_nlft_detailed,
+                      layer_strip_detailed)
+from .spectral import DEFAULT_SZEGO_MARGIN
+from .verify import ROUND_TRIP_TOL, decay_table, run_pair_checks, run_suite
 
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
@@ -71,9 +73,9 @@ def _is_number(v) -> bool:
 @dataclass
 class Config:
     grid_size: int | str = "auto"
-    szego_margin: float = 1e-6
-    solver_tol: float = 1e-12
-    round_trip_tol: float = 1e-8
+    szego_margin: float = DEFAULT_SZEGO_MARGIN
+    solver_tol: float = DEFAULT_SOLVER_TOL
+    round_trip_tol: float = ROUND_TRIP_TOL
     weight: str | None = None
     window: tuple[int, int] | None = None
     seed: int = 0

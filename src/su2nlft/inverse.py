@@ -99,8 +99,9 @@ from .errors import (
     ValidationError,
 )
 from .forward import CLAMP_TOL, _forward_sequences, nlft_forward
-from .spectral import (_b_lo, _ratio_grid, _symbol_samples, grid_quotient,
-                       outer_complement, require_outer)
+from .spectral import (DEFAULT_SZEGO_MARGIN, _b_lo, _ratio_grid,
+                       _symbol_samples, grid_quotient, outer_complement,
+                       require_outer)
 
 logger = logging.getLogger(__name__)
 
@@ -532,7 +533,7 @@ def inverse_nlft_detailed(
     support_window: tuple[int, int],
     n_points: int | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
-    szego_margin: float = 1e-6,
+    szego_margin: float = DEFAULT_SZEGO_MARGIN,
 ) -> tuple[CoefficientSequence, InverseReport]:
     """Full inverse transform from ``b`` alone, with residual report.
 
@@ -566,7 +567,7 @@ def inverse_nlft(
     support_window: tuple[int, int],
     n_points: int | None = None,
     tol: float = DEFAULT_SOLVER_TOL,
-    szego_margin: float = 1e-6,
+    szego_margin: float = DEFAULT_SZEGO_MARGIN,
 ) -> CoefficientSequence:
     """Recover ``F`` from ``b`` (see ``inverse_nlft_detailed``)."""
     F, _ = inverse_nlft_detailed(b, support_window, n_points, tol,

@@ -17,10 +17,11 @@ its Baxter ratios, and its LU check reuses the grid of the first.
 The LU and antisymmetry checks apply grid multipliers to random
 windowed probes as window-sized convolutions by the multipliers' grid
 coefficients (``core._window_multiply``), batched as columns; no probe
-transforms the whole grid.  The LU probes that read one symbol share
-one convolution over the union of their windows, the identity symbol is
-applied by copying, and the pointwise LU identities are evaluated only
-in the two entries that can miss.
+transforms the whole grid.  Four of the twelve LU probes apply only the
+identity between disjoint windows and read 0; the other eight share one
+convolution per symbol over the union of their windows, and the
+pointwise LU identities are evaluated only in the two entries that can
+miss.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ from .errors import (
     VanishingSymbolError,
 )
 from .forward import nlft_forward
-from .inverse import (RhSystem, _apply_m_vec, _complete_and_strip,
-                      reflect_pair)
-from .spectral import _b_lo, _full_symbol_ratio, _ratio_grid
+from .inverse import (DEFAULT_SOLVER_TOL, RhSystem, _apply_m_vec,
+                      _complete_and_strip, reflect_pair)
+from .spectral import (DEFAULT_SZEGO_MARGIN, _b_lo, _full_symbol_ratio,
+                       _ratio_grid)
 
 logger = logging.getLogger(__name__)
 
@@ -413,7 +415,7 @@ def _baxter_record(F: CoefficientSequence, pair: NlftPair, w: BeurlingWeight,
 def _lu_window(pair: NlftPair) -> tuple[int, int]:
     """``(n, k)`` of the LU check: the truncation ``n``, midpoint of the
     support of ``b``, and the probe window length ``k``, which the check
-    keeps on grids of more than ``4 k + 2 |n|`` points."""
+    keeps on grids of more than ``4 k`` points."""
     n = (pair.b.support_lo + pair.b.support_hi) // 2 if not pair.b.is_empty else 0
     return n, max(pair.a.width, pair.b.width, 8)
 
@@ -429,12 +431,14 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     support of ``b``, all on four rounds of random windowed probes.  The
     record value is the worst residual, gated at ``LU_TOL``.
 
-    The probes that read one symbol run, all rounds at once, as one
-    window-sized convolution over the union of their windows (see the
-    module docstring), by the grid coefficients of ``a`` and ``a*`` as
-    stored and those of ``1/a`` and ``1/a*`` by FFT; the identity copies
-    the overlap of each input and output window, and zero entries are
-    skipped.  Pointwise, six entries
+    Each probe applies one symbol between an input and an output window.
+    In four (``Lt``, ``Lt^-1`` on ``[-k, -1]``, ``Ut``, ``Ut^-1`` on
+    ``[0, k]``) it is the identity between disjoint windows: they read 0.
+    The other eight apply ``1/a``, ``a``, ``1/a*`` and ``a*``, two each,
+    as one window-sized convolution per symbol, all rounds at once, by
+    the stored coefficients of ``a`` and ``a*`` and FFTs of ``1/a`` and
+    ``1/a*``.  The split windows sit at 0, not at ``n``: a grid product
+    is cyclic and commutes with ``z^n``.  Pointwise, six entries
     of ``L U`` and ``Ut Lt`` are entries of ``C`` times exact zeros and
     ones, so only the ``(0, 0)`` entry of ``L U`` and the ``(1, 1)``
     entry of ``Ut Lt`` are evaluated.
@@ -451,115 +455,67 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
     av = _nonvanishing(_eval_samples(pair.a, n_points), "a")
     bv = _eval_samples(pair.b, n_points)
     astar = np.conj(av)
-    bstar = np.conj(bv)
-    one = np.ones(n_points, dtype=np.complex128)
-    zero = np.zeros(n_points, dtype=np.complex128)
     inv_a, inv_astar = 1.0 / av, 1.0 / astar
-    bstar_a, neg_b_astar = bstar / av, -bv / astar
+    bstar_a, neg_b_astar = np.conj(bv) / av, -bv / astar
 
     # entry (0, 0) of C - L U and (1, 1) of C - Ut Lt; the other six are
     # entries of C times exact zeros and ones, so exactly 0 for finite
     # symbols
     res_lu = float(np.max(np.abs(
-        one - (inv_a * inv_astar + bstar_a * neg_b_astar))))
+        1.0 - (inv_a * inv_astar + bstar_a * neg_b_astar))))
     res_ul = float(np.max(np.abs(
-        one - (neg_b_astar * bstar_a + inv_astar * inv_a))))
-
-    L = [[inv_a, bstar_a], [zero, one]]
-    U = [[inv_astar, zero], [neg_b_astar, one]]
-    Lt = [[one, bstar_a], [zero, inv_a]]
-    Ut = [[one, zero], [neg_b_astar, inv_astar]]
-    L_inv = [[av, -bstar], [zero, one]]
-    U_inv = [[astar, zero], [bv, one]]
-    Lt_inv = [[one, -bstar], [zero, av]]
-    Ut_inv = [[one, zero], [bv, astar]]
+        1.0 - (neg_b_astar * bstar_a + inv_astar * inv_a))))
 
     n_probes = 4
     n, k = _lu_window(pair)
-    if 4 * k + 2 * abs(n) >= n_points:
-        k = max((n_points - 2 * abs(n)) // 4 - 1, 4)
-    half = n_points // 2 - 1
-    # (T, input windows, output windows); None is an absent component
-    lower = ((-k, -1), None), ((0, k), (-half, half))
-    upper = ((0, k), (-k, k)), ((-k - 1, -1), None)
-    split_in = ((0, k), (n - k, n)), (None, (n + 1, n + 1 + k))
-    split_out = (None, (n + 1, n + 1 + k)), ((0, k), (n - k, n))
-    probes = (
-        # triangularity: lower family mapped through the negative window
-        [(T, *lower) for T in (L, L_inv, Lt, Lt_inv)]
-        # upper family against the complementary projection
-        + [(T, *upper) for T in (U, U_inv, Ut, Ut_inv)]
-        # split-projection compositions at truncation n
-        + [(Lt, *split_in), (Lt_inv, *split_in),
-           (Ut, *split_out), (Ut_inv, *split_out)]
-    )
-    # the terms of each symbol, keyed by identity, as (first row of its
-    # input in the draw, input window, first row of its output in
-    # ``rows``, output window); zero entries are skipped
-    groups, in_starts, row_starts, row_probes = {}, [], [], []
-    at = n_rows = 0
-    for p, (T, ins, outs) in enumerate(probes):
-        in_starts.append(at)
-        offsets = []
-        for w in ins:
-            offsets.append(at)
-            at += 2 * (w[1] - w[0] + 1) if w else 0
-        for row, out in zip(T, outs):
-            terms = [(sym, o, w) for sym, o, w in zip(row, offsets, ins)
-                     if out and w and sym is not zero]
-            if not terms:
-                continue
-            if row_probes[-1:] != [p]:  # the first output row of probe p
-                row_probes.append(p)
-                row_starts.append(n_rows)
-            for sym, o, w in terms:
-                groups.setdefault(id(sym), (sym, []))[1].append(
-                    (o, w, n_rows, out))
-            n_rows += out[1] - out[0] + 1
+    if 4 * k >= n_points:
+        k = max(n_points // 4 - 1, 4)
+    pos, below, split_lo, split_hi = (0, k), (-k - 1, -1), (-k, 0), (1, 1 + k)
+    # the input windows of the twelve probes, in the order they are
+    # drawn: L, L^-1, Lt, Lt^-1 on the negative window; U, U^-1, Ut,
+    # Ut^-1 on the nonnegative one; Lt, Lt^-1 with the split projections
+    # at n, and Ut, Ut^-1 with their complements, the split taken at 0
+    ins = ([[(-k, -1)]] * 4 + [[pos, (-k, k)]] * 4 + [[pos, split_lo]] * 2
+           + [[split_hi]] * 2)
+    # input i of probe p starts on row at[first[p] + i] of the draw
+    at = np.cumsum([0] + [2 * (w[1] - w[0] + 1) for p in ins for w in p])
+    first = np.cumsum([0] + [len(p) for p in ins])
     # one draw, laid out round by round, probe by probe, input by input,
     # the real parts of an input before its imaginary parts; copied to
     # contiguous rows (one per entry, a column per round)
-    draws = np.random.default_rng(seed).standard_normal((n_probes, at)).T.copy()
-    in_sq = np.add.reduceat(draws ** 2, in_starts, axis=0)
+    draws = np.random.default_rng(seed).standard_normal(
+        (n_probes, at[-1])).T.copy()
+    in_sq = np.add.reduceat(draws ** 2, at[first[:-1]], axis=0)
 
-    # grid coefficients of the convolved symbols: those of a and a* are
-    # the stored coefficients of a and their star reflection, those of
-    # 1/a and 1/a* take FFTs
-    spectra = {id(av): _grid_coeffs(pair.a, n_points),
-               id(astar): _grid_coeffs(star_reflect(pair.a), n_points),
-               id(inv_a): np.fft.fft(inv_a, norm="forward"),
-               id(inv_astar): np.fft.fft(inv_astar, norm="forward")}
-    rows = np.zeros((n_rows, n_probes), dtype=np.complex128)
-    for sym, terms in groups.values():
-        if sym is one:  # each term copies the overlap of its two windows
-            for o, w, r, out in terms:
-                lo, hi = max(w[0], out[0]), min(w[1], out[1])
-                if lo <= hi:
-                    i, j, h = o + lo - w[0], r + lo - out[0], w[1] - w[0] + 1
-                    rows[j:j + hi - lo + 1] += (
-                        draws[i:i + hi - lo + 1]
-                        + 1j * draws[i + h:i + h + hi - lo + 1])
-            continue
-        in_lo = min(w[0] for _, w, _, _ in terms)
-        in_hi = max(w[1] for _, w, _, _ in terms)
-        out_lo = min(out[0] for *_, out in terms)
-        out_hi = max(out[1] for *_, out in terms)
-        # every term's rounds as columns, zero outside its input window
-        x = np.zeros((in_hi - in_lo + 1, n_probes * len(terms)),
-                     dtype=np.complex128)
-        cols = [slice(c * n_probes, (c + 1) * n_probes)
-                for c in range(len(terms))]
-        for col, (o, w, _, _) in zip(cols, terms):
-            h = w[1] - w[0] + 1
-            block = x[w[0] - in_lo:w[1] + 1 - in_lo, col]
-            block.real, block.imag = draws[o:o + h], draws[o + h:o + 2 * h]
-        y = _window_multiply(spectra[id(sym)], x, in_lo, out_lo, out_hi)
-        for col, (_, _, r, out) in zip(cols, terms):
-            h, lo = out[1] - out[0] + 1, out[0] - out_lo
-            rows[r:r + h] += y[lo:lo + h, col]
+    # the eight probes that can leak, as (probe, input, output window),
+    # after the grid coefficients of their symbol: 1/a, a, 1/a*, a*
+    table = (
+        (np.fft.fft(inv_a, norm="forward"), (0, 0, pos), (8, 1, split_hi)),
+        (_grid_coeffs(pair.a, n_points), (1, 0, pos), (9, 1, split_hi)),
+        (np.fft.fft(inv_astar, norm="forward"),
+         (4, 0, below), (10, 0, split_lo)),
+        (_grid_coeffs(star_reflect(pair.a), n_points),
+         (5, 0, below), (11, 0, split_lo)),
+    )
     out_sq = np.zeros_like(in_sq)
-    out_sq[row_probes] = np.add.reduceat(rows.real ** 2 + rows.imag ** 2,
-                                         row_starts, axis=0)
+    for spec, *terms in table:
+        # the rounds of each term as columns, zero outside its input window
+        windows = [ins[p][i] for p, i, _ in terms]
+        in_lo, out_lo = min(w[0] for w in windows), min(t[2][0] for t in terms)
+        x = np.zeros((max(w[1] for w in windows) - in_lo + 1, 2, n_probes),
+                     dtype=np.complex128)
+        for c, ((p, i, _), (lo, hi)) in enumerate(zip(terms, windows)):
+            o, block = at[first[p] + i], x[lo - in_lo:hi + 1 - in_lo, c]
+            block.real, block.imag = draws[o:o + 2 * (hi - lo + 1)].reshape(
+                2, -1, n_probes)
+        y = _window_multiply(spec, x.reshape(len(x), -1), in_lo, out_lo,
+                             max(t[2][1] for t in terms))
+        y = y.reshape(len(y), 2, n_probes)
+        for c, (p, _, (lo, hi)) in enumerate(terms):
+            rows = y[lo - out_lo:hi + 1 - out_lo, c]
+            # reduceat: np.add.reduce sums in another order
+            out_sq[p] = np.add.reduceat(rows.real ** 2 + rows.imag ** 2,
+                                        [0], axis=0)
     worst_probe = float(np.max(np.sqrt(out_sq / in_sq)))
 
     value = max(res_lu, res_ul, worst_probe)
@@ -639,8 +595,9 @@ def check_contraction(records) -> CheckRecord:
 
 
 def check_round_trip(F: CoefficientSequence, pair: NlftPair,
-                     solver_tol: float = 1e-12, tol: float = ROUND_TRIP_TOL,
-                     szego_margin: float = 1e-6):
+                     solver_tol: float = DEFAULT_SOLVER_TOL,
+                     tol: float = ROUND_TRIP_TOL,
+                     szego_margin: float = DEFAULT_SZEGO_MARGIN):
     """Invert the forward output and compare; also yields the contraction
     record.  The completion of ``pair.b`` sizes its own grid, and
     stripping needs none."""
@@ -695,8 +652,8 @@ def _operator_records(pair: NlftPair, n_points: int | None, seed: int,
     The LU check is inapplicable when ``min |a| < LU_MIN_A`` on the
     grid.  Otherwise it runs on ``n_points`` or, when that is ``None``,
     on the fold grid of ``b/a*`` (``ratio_grid``, or ``_ratio_grid(pair)``
-    when not given), raised to the smallest power of two above
-    ``4 k + 2 |n|`` (``_lu_window``).  Its numerical errors, and a
+    when not given), raised to the smallest power of two above ``4 k``
+    (``_lu_window``).  Its numerical errors, and a
     vanishing symbol, make error records.
     """
     min_a = float(np.min(np.abs(_eval_samples(pair.a,
@@ -710,10 +667,10 @@ def _operator_records(pair: NlftPair, n_points: int | None, seed: int,
         )
     else:
         try:
-            n, k = _lu_window(pair)
+            _, k = _lu_window(pair)
             lu = check_lu_factorization(pair, n_points or max(
                 ratio_grid or _ratio_grid(pair),
-                _power_of_two_at_least(4 * k + 2 * abs(n) + 1)), seed=seed)
+                _power_of_two_at_least(4 * k + 1)), seed=seed)
         except NumericalError as exc:
             lu = _error_record("lu_factorization", "lu_factorization_identity",
                                exc)
@@ -745,9 +702,9 @@ def run_suite(
     n_points: int | None = None,
     weights: list[BeurlingWeight] | None = None,
     support_window: tuple[int, int] | None = None,
-    solver_tol: float = 1e-12,
+    solver_tol: float = DEFAULT_SOLVER_TOL,
     round_trip_tol: float = ROUND_TRIP_TOL,
-    szego_margin: float = 1e-6,
+    szego_margin: float = DEFAULT_SZEGO_MARGIN,
     seed: int = 0,
 ) -> VerificationReport:
     """Run every check on one instance.

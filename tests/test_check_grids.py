@@ -85,6 +85,14 @@ class TestLuInTheSuites:
             rec = lu_record(report)
             assert rec.passed and int(rec.detail.split("grid=")[1]) >= 64
 
+    def test_probe_grid_does_not_grow_with_the_truncation(self):
+        # the split probe windows sit at 0, not at n = 10**5, so a
+        # width-1 input needs no grid of 2 |n| points
+        report = run_suite(CoefficientSequence.single(10**5, 0.1))
+        rec = lu_record(report)
+        assert report.overall_pass and rec.passed
+        assert int(rec.detail.split("grid=")[1]) <= 64
+
     def test_numerical_error_becomes_an_error_record(self, monkeypatch):
         def capped(pair):
             raise ConsistencyError("largest grid allowed")

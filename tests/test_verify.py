@@ -44,6 +44,10 @@ TWO_POINT = seq({0: 0.5, 1: 0.5})
 TWO_POINT_PAIR = nlft_forward(TWO_POINT)
 SINGULAR = seq({0: 1.0, 1: 1.0})  # b = (1 + z)/2, |b| = 1 at z = 1
 SINGULAR_PAIR = nlft_forward(SINGULAR)
+# the LU check fails on 128 points and passes on 512 (as in
+# test_check_grids.py)
+LU_ALIASED = seq({-3: -0.2446637853716387 + 0.8247500363507834j,
+                  -2: -0.5278940521895357 + 0.7849135161576277j})
 
 
 def tampered_pair():
@@ -248,6 +252,80 @@ class TestLuFactorization:
             for Y, Z in ((L, U), (Ut, Lt)) for i in range(2) for j in range(2))
         rec = check_lu_factorization(pair, n_points=1024)
         assert rec.lhs == reference
+
+
+def _lu_probe_reference(pair, n_points, seed=0):
+    """The ``rhs`` of ``check_lu_factorization`` from its definition.
+
+    Each of the twelve probes applies its 2x2 matrix of symbols on the
+    full grid: samples by ``_eval_samples``, products pointwise,
+    coefficients by ``np.fft.fft``, read on the output windows.  The draw
+    is laid out as in the check, and the split windows sit around the
+    truncation ``n``.
+    """
+    n, k = su2nlft.verify._lu_window(pair)
+    assert 4 * k + 2 * abs(n) < n_points  # k is not shrunk
+    a, b = _eval_samples(pair.a, n_points), _eval_samples(pair.b, n_points)
+    astar, bstar = np.conj(a), np.conj(b)
+    one, zero = np.ones(n_points), np.zeros(n_points)
+    L = [[1 / a, bstar / a], [zero, one]]
+    U = [[1 / astar, zero], [-b / astar, one]]
+    Lt = [[one, bstar / a], [zero, 1 / a]]
+    Ut = [[one, zero], [-b / astar, 1 / astar]]
+    L_inv = [[a, -bstar], [zero, one]]
+    U_inv = [[astar, zero], [b, one]]
+    Lt_inv = [[one, -bstar], [zero, a]]
+    Ut_inv = [[one, zero], [b, astar]]
+    half = n_points // 2 - 1
+    # (T, input windows, output windows); None is an absent component
+    lower = ((-k, -1), None), ((0, k), (-half, half))
+    upper = ((0, k), (-k, k)), ((-k - 1, -1), None)
+    split_in = ((0, k), (n - k, n)), (None, (n + 1, n + 1 + k))
+    split_out = (None, (n + 1, n + 1 + k)), ((0, k), (n - k, n))
+    probes = ([(T, *lower) for T in (L, L_inv, Lt, Lt_inv)]
+              + [(T, *upper) for T in (U, U_inv, Ut, Ut_inv)]
+              + [(Lt, *split_in), (Lt_inv, *split_in),
+                 (Ut, *split_out), (Ut_inv, *split_out)])
+    size = sum(2 * (w[1] - w[0] + 1)
+               for _, ins, _ in probes for w in ins if w)
+    draws = np.random.default_rng(seed).standard_normal((4, size))
+    worst = 0.0
+    for draw in draws:  # one round of all twelve probes
+        at = 0
+        for T, ins, outs in probes:
+            in_sq, x = 0.0, []
+            for w in ins:
+                if w is None:
+                    x.append(zero)
+                    continue
+                h = w[1] - w[0] + 1
+                c = draw[at:at + h] + 1j * draw[at + h:at + 2 * h]
+                at += 2 * h
+                in_sq += np.sum(np.abs(c) ** 2)
+                x.append(_eval_samples(CoefficientSequence(*w, c), n_points))
+            out_sq = 0.0
+            for row, out in zip(T, outs):
+                if out is not None:
+                    y = np.fft.fft(row[0] * x[0] + row[1] * x[1],
+                                   norm="forward")
+                    idx = np.arange(out[0], out[1] + 1) % n_points
+                    out_sq += np.sum(np.abs(y[idx]) ** 2)
+            worst = max(worst, math.sqrt(out_sq / in_sq))
+    return worst
+
+
+@pytest.mark.parametrize("pair, n_points", [
+    (TWO_POINT_PAIR, None),
+    # a*(0) = 0: the value of test_probes_catch_a_shifted_a
+    (NlftPair(TWO_POINT_PAIR.a.shift(-1), TWO_POINT_PAIR.b, 0.0), None),
+    (nlft_forward(LU_ALIASED), 128),  # 3.917e-10, aliased
+    (nlft_forward(LU_ALIASED), 512),
+    (nlft_forward(seq({40: 0.3, 41: 0.2})), None),  # n = 40
+])
+def test_lu_probes_match_their_definition(pair, n_points):
+    rec = check_lu_factorization(pair, n_points)
+    ref = _lu_probe_reference(pair, int(rec.detail.split("grid=")[1]))
+    assert abs(rec.rhs - ref) <= 1e-14 * max(1.0, ref)
 
 
 class TestOperatorChecks:
