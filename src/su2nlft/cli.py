@@ -41,7 +41,7 @@ PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
 # complex arrays of MAX_GRID_SIZE points (64 MiB each); stripping a
 # window [lo, hi] takes time quadratic in hi - lo(b) + 1, which
-# MAX_WINDOW_WIDTH also caps (about 0.6-0.8 s for a centred window of
+# MAX_WINDOW_WIDTH also caps (about 0.3-0.5 s for a centred window of
 # that width, start-up included, on one core of a shared 2-vCPU VM)
 MAX_GRID_SIZE = 1 << 22
 MAX_WINDOW_WIDTH = 1 << 12

@@ -59,16 +59,20 @@ Mnatsakanyan, Thiele & Wang (arXiv 2407.05634).  The pass starts at
 ``lo(b)`` whatever the sign of the indices, so one pass up to the top
 index of a window strips all of it, negative indices included.
 
-Stripping reads ``c`` without a grid.  When ``a*`` is outer (no zeros
-in the closed disk, ``a*(0) != 0``), ``1/a*`` is analytic in the disk,
-so ``b/a*`` is ``z^lo(b)`` times a power series and its coefficients on
-``[lo(b), hi]`` are the first ``hi - lo(b) + 1`` Taylor coefficients of
-``b z^-lo(b)`` times ``1/a*``: a finite computation on the coefficients
-of ``a*`` and ``b``, with no folding to resolve.  The series of ``1/a*``
-comes from Newton's iteration, which doubles the number of correct
-terms per step.  ``rh_solve`` and ``apply_m`` still sample ``b/a*`` on
-a grid (``RhSystem``), and serve as the reference stripping is tested
-against.
+Stripping forms neither ``c`` nor a grid.  With ``T_{a*}`` and ``T_b``
+the lower-triangular Toeplitz matrices of ``a*`` on ``[0, hi - lo(b)]``
+and of ``b`` on ``[lo(b), hi]``, ``T = T_{a*}^{-1} T_b``, so
+
+    I + T T^H = T_{a*}^{-1} K' T_{a*}^{-H},   K' - Z K' Z^H = a* a*^H + b b^H
+
+for ``K' = T_{a*} T_{a*}^H + T_b T_b^H``, and the same pass on the
+generators ``(a*, b)`` gives the diagonal of the Cholesky factor ``L'``
+of ``K'`` and ``L'^{-1} b``.  ``T_{a*}`` has diagonal
+``a*(0) = |a*(0)| e^{i phi}``, so ``L_jj = L'_jj / |a*(0)|`` and
+``y = e^{-i phi} L'^{-1} b``.  This needs ``a*(0) != 0``, which the
+hypothesis of stripping, ``a*`` outer (no zeros in the closed disk),
+implies.  ``rh_solve`` and ``apply_m`` still sample ``b/a*`` on a grid
+(``RhSystem``), and serve as the reference stripping is tested against.
 """
 
 from __future__ import annotations
@@ -331,17 +335,16 @@ def _dense_solve(c: np.ndarray, b_lo: int, n: int, tol: float) -> RhSolution:
     )
 
 
-def _schur_pass(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal of the Cholesky factor ``L`` of ``I + T T^H``, and
-    ``y = L^{-1} c``, by the generalized Schur algorithm on the
-    generators ``(e_0, c)`` (see the module docstring)."""
-    size = c.size
+def _schur_pass(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal of the Cholesky factor ``L'`` of ``K'``, and
+    ``L'^{-1} b``, by the generalized Schur algorithm on the generators
+    ``g = (a*, b)``, a ``(2, m)`` array (see the module docstring)."""
+    size = g.shape[-1]
     # before step k, A[:, k:] holds rows k.. of the two generators and
-    # of c minus the columns of L substituted so far; B takes the step
-    A = np.zeros((3, size), dtype=np.complex128)
-    A[0, :1] = 1.0
-    A[1] = c
-    A[2] = c
+    # of b minus the columns of L' substituted so far; B takes the step
+    A = np.empty((3, size), dtype=np.complex128)
+    A[:2] = g
+    A[2] = g[1]
     B = np.empty_like(A)
     step = np.eye(3, dtype=np.complex128)
     pivots, y = [], []
@@ -351,7 +354,7 @@ def _schur_pass(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pivots.append(pivot)
         y.append(rest / pivot)
         # rows 0-1 rotate (alpha, beta) to (pivot, 0); the rotated first
-        # generator is column k of L, which row 2 substitutes
+        # generator is column k of L', which row 2 substitutes
         u, v = alpha / pivot, beta / pivot
         step[0, 0], step[0, 1] = u.conjugate(), v.conjugate()
         step[1, 0], step[1, 1] = -v, u
@@ -399,22 +402,6 @@ def reflect_pair(pair: NlftPair) -> NlftPair:
     return _lazy_pair(a_refl, b_refl, lambda: pair.grid_residual)
 
 
-def _ratio_taylor(pair: NlftPair, m: int) -> np.ndarray:
-    """The first ``m`` Taylor coefficients of ``b/a*``, from ``lo(b)`` on,
-    for an outer ``a*``: ``b`` times ``1/a*``, whose series comes from
-    Newton's iteration ``r <- r - r (a* r - 1) mod z^n``, ``n`` doubling."""
-    if m <= 0 or pair.b.is_empty:
-        return np.zeros(max(m, 0), dtype=np.complex128)
-    astar = _embed(star_reflect(pair.a).restrict(0, m - 1), 0, m - 1)
-    r = np.array([1.0 / astar[0]])
-    while r.size < m:
-        n = min(2 * r.size, m)
-        e = np.convolve(astar[:n], r)[:n]
-        e[0] -= 1.0
-        r = np.concatenate([r, np.zeros(n - r.size)]) - np.convolve(r, e)[:n]
-    return np.convolve(pair.b.coeffs[:m], r)[:m]
-
-
 def layer_strip_detailed(
     pair: NlftPair,
     support_window: tuple[int, int],
@@ -422,13 +409,13 @@ def layer_strip_detailed(
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """Recover ``F`` on a window together with the per-index solve records.
 
-    One generalized Schur pass over the coefficients of ``b/a*`` on
-    ``[lo(b), hi]`` (see the module docstring) strips every index of the
-    window ``[lo, hi]``, negative ones included: ``F_n = y_j L_jj`` with
-    ``j = n - lo(b)``.  Those coefficients are the truncated power series
-    of ``b/a*``, so no grid is sampled; the hypothesis that makes them
-    exact is checked first, and an ``a*`` that is not outer raises
-    ``OuternessError`` (``spectral.require_outer``).  Entries with
+    One generalized Schur pass over the leading ``hi - lo(b) + 1``
+    coefficients of ``a*`` and of ``b`` (see the module docstring) strips
+    every index of the window ``[lo, hi]``, negative ones included:
+    ``F_n = y_j L_jj`` with ``j = n - lo(b)``.  No grid is sampled; the
+    hypothesis that makes the truncated system exact is checked first,
+    and an ``a*`` that is not outer raises ``OuternessError``
+    (``spectral.require_outer``).  Entries with
     ``|F_n| < tol`` are reported as zero.  The records come in ascending
     ``n``; the record at ``n`` is the truncation to ``(F_k)_{k <= n}``.
 
@@ -460,9 +447,19 @@ def _strip_outer(
     pair: NlftPair, lo: int, hi: int, tol: float
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """``layer_strip_detailed`` on ``[lo, hi]`` for a pair whose ``a*``
-    its caller has certified outer."""
+    its caller has certified outer: one ``_schur_pass`` on ``a*`` and
+    ``b`` cut or padded to ``[0, hi - lo(b)]`` and ``[lo(b), hi]``."""
     b_lo = _b_lo(pair)
-    pivots, y = _schur_pass(_ratio_taylor(pair, hi - b_lo + 1))
+    m = max(hi - b_lo + 1, 0)
+    g = np.zeros((2, m), dtype=np.complex128)
+    g[0] = _embed(star_reflect(pair.a).restrict(0, m - 1), 0, m - 1)
+    g[1, :min(m, pair.b.width)] = pair.b.coeffs[:m]
+    pivots, y = _schur_pass(g)
+    # back from K' to I + T T^H: L_jj = L'_jj / |a*(0)| and
+    # y = e^{-i arg a*(0)} L'^{-1} b, where a*(0) = conj(a(0))
+    a0 = pair.a.coefficient(0)
+    pivots /= abs(a0)
+    y *= a0 / abs(a0)
     # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
     gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
     # indices below b hold the trivial solution x = (1, 0)

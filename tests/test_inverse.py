@@ -416,12 +416,39 @@ class TestSchurStripping:
             layer_strip(pair, (0, 7), tol=1e-30)
 
     def test_non_finite_symbol_raises(self, monkeypatch):
-        def nan_ratio(pair, m):
-            return np.full(m, np.nan, dtype=np.complex128)
+        schur = su2nlft.inverse._schur_pass
 
-        monkeypatch.setattr(su2nlft.inverse, "_ratio_taylor", nan_ratio)
+        def nan_pass(g):
+            return schur(np.full_like(g, np.nan))
+
+        monkeypatch.setattr(su2nlft.inverse, "_schur_pass", nan_pass)
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             layer_strip(TWO_POINT_PAIR, (0, 1))
+
+    @pytest.mark.parametrize("phi", [0.3, np.pi])
+    def test_rotated_a_strips_to_the_rotated_potential(self, phi):
+        # (a e^{i phi}, b) has b/a* = e^{i phi} b/a*, so its potential is
+        # e^{i phi} F; a*(0) then has phase -phi, not a positive real
+        F = random_instance(4, -3, 6)
+        pair = nlft_forward(F)
+        rotated = NlftPair(pair.a.scale(np.exp(1j * phi)), pair.b,
+                           pair.grid_residual)
+        got = layer_strip(rotated, (-3, 6))
+        assert max_abs_difference(got, F.scale(np.exp(1j * phi))) <= 1e-12
+        assert_strip_matches_single_solves(rotated, (-3, 6), 256)
+
+    @pytest.mark.parametrize("pair, window", [
+        (TWO_POINT_PAIR, (-5, -2)),
+        (nlft_forward(seq({-2: 0})), (-2, -2)),
+    ], ids=["window_below_b", "b_clamps_to_empty"])
+    def test_empty_pass_strips_to_nothing(self, pair, window):
+        F, records = layer_strip_detailed(pair, window)
+        assert F.is_empty
+        assert [r.n for r in records] == list(range(window[0], window[1] + 1))
+        for rec in records:
+            assert (rec.a_star_zero, rec.residual) == (1.0, 0.0)
+            assert rec.b.is_empty
+            assert max_abs_difference(rec.a, seq({0: 1.0})) == 0.0
 
     def test_zero_free_law_strips_or_stops_at_the_grid_cap(self):
         capped = 0
