@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,11 +31,12 @@ from .core import (
     weighted_l1_norm,
 )
 from .errors import DeterminantError, NlftError, NumericalError, ValidationError
-from .forward import _forward_sequences, nlft_forward
-from .inverse import (DEFAULT_SOLVER_TOL, inverse_nlft_detailed,
+from .forward import nlft_forward
+from .inverse import (DEFAULT_SOLVER_TOL, InverseReport, inverse_nlft_detailed,
                       layer_strip_detailed)
 from .spectral import DEFAULT_SZEGO_MARGIN
-from .verify import ROUND_TRIP_TOL, decay_table, run_pair_checks, run_suite
+from .verify import (ROUND_TRIP_TOL, SOBOLEV_ORDERS, WEIGHT_EXPONENTS,
+                     decay_table, run_pair_checks, run_suite)
 
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
@@ -130,10 +131,7 @@ class Config:
         if not isinstance(obj, dict):
             raise ValidationError("NLFT_CONFIG must hold a JSON object")
         cfg = cls()
-        known = {
-            "grid_size", "szego_margin", "solver_tol", "round_trip_tol",
-            "weight", "window", "seed",
-        }
+        known = {f.name for f in fields(cls)}
         for key, val in obj.items():
             if key not in known:
                 raise ValidationError(f"NLFT_CONFIG: unknown key {key!r}")
@@ -400,21 +398,20 @@ def cmd_inverse(args, cfg: Config) -> int:
         pair = pair_from_sequences(a, b, cfg.n_points)
         _require_determinant(pair, "supplied pair")
         F, records = layer_strip_detailed(pair, cfg.window, tol=cfg.solver_tol)
-        round_trip = max_abs_difference(_forward_sequences(F)[1], b)
+        report = InverseReport(pair.grid_residual, records,
+                               max_abs_difference(nlft_forward(F).b, b))
     else:
         F, report = inverse_nlft_detailed(
             b, cfg.window, n_points=cfg.n_points, tol=cfg.solver_tol,
             szego_margin=cfg.szego_margin,
         )
-        records = report.records
-        round_trip = report.round_trip_residual
     _emit(sequence_to_json(F), args.out)
     if args.csv:
-        _write_convergence_csv(args.csv, records)
+        _write_convergence_csv(args.csv, report.records)
     to_stdout = args.out is not None
-    max_res = max((r.residual for r in records), default=0.0)
+    round_trip = report.round_trip_residual
     _diag(f"round_trip_residual = {round_trip:.3e}", to_stdout)
-    _diag(f"max_solver_residual = {max_res:.3e}", to_stdout)
+    _diag(f"max_solver_residual = {report.max_solver_residual:.3e}", to_stdout)
     if round_trip > cfg.round_trip_tol:
         _diag(f"round trip missed: {round_trip:.3e} > {cfg.round_trip_tol:.1e}",
               to_stdout)
@@ -434,22 +431,23 @@ def cmd_inverse(args, cfg: Config) -> int:
 def cmd_verify(args, cfg: Config) -> int:
     if (args.input is None) == (args.b is None):
         raise ValidationError("verify needs exactly one of --input or --b")
+    obj = None if args.input is None else _read_json(args.input)
+    is_pair = isinstance(obj, dict) and "a" in obj
+    if args.csv and (obj is None or is_pair):
+        raise ValidationError("--csv needs a sequence input")
     weights = None
     if cfg.weight is not None:
         weights = [BeurlingWeight.from_descriptor(cfg.weight)]
-    F = None
-    if args.input is not None:
-        obj = _read_json(args.input)
-        if isinstance(obj, dict) and "a" in obj:
-            pair = _pair_from_obj(obj)
-            report = run_pair_checks(pair, n_points=cfg.n_points, seed=cfg.seed)
-        else:
-            F = _sequence_from_obj(obj)
-            report = run_suite(
-                F=F, n_points=cfg.n_points, weights=weights,
-                solver_tol=cfg.solver_tol, round_trip_tol=cfg.round_trip_tol,
-                szego_margin=cfg.szego_margin, seed=cfg.seed,
-            )
+    if is_pair:
+        report = run_pair_checks(_pair_from_obj(obj), n_points=cfg.n_points,
+                                 seed=cfg.seed)
+    elif obj is not None:
+        F = _sequence_from_obj(obj)
+        report = run_suite(
+            F=F, n_points=cfg.n_points, weights=weights,
+            solver_tol=cfg.solver_tol, round_trip_tol=cfg.round_trip_tol,
+            szego_margin=cfg.szego_margin, seed=cfg.seed,
+        )
     else:
         b = load_sequence(args.b)
         _require_pass_length(
@@ -464,8 +462,6 @@ def cmd_verify(args, cfg: Config) -> int:
     for line in report.lines():
         print(line, file=sys.stderr)
     if args.csv:
-        if F is None:
-            raise ValidationError("--csv needs a sequence input")
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "abs_F_n", "first_order_rhs"])
@@ -478,7 +474,7 @@ def cmd_verify(args, cfg: Config) -> int:
 
 def cmd_norms(args, cfg: Config) -> int:
     seq = load_sequence(args.input)
-    descriptors = ["one", "poly:alpha=0.5", "poly:alpha=1.0", "poly:alpha=2.0"]
+    descriptors = ["one"] + [f"poly:alpha={alpha}" for alpha in WEIGHT_EXPONENTS]
     if cfg.weight is not None and cfg.weight not in descriptors:
         descriptors.append(cfg.weight)
     weighted = {
@@ -489,7 +485,7 @@ def cmd_norms(args, cfg: Config) -> int:
         "support": None if seq.is_empty else [seq.support_lo, seq.support_hi],
         "l2": seq.l2_norm(),
         "weighted_l1": weighted,
-        "sobolev": {f"{s:g}": sobolev_norm(seq, s) for s in (1.0, 1.5, 2.0)},
+        "sobolev": {f"{s:g}": sobolev_norm(seq, s) for s in SOBOLEV_ORDERS},
     }
     _emit(json.dumps(out, indent=2), args.out)
     return 0

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -237,7 +238,7 @@ class CoefficientSequence:
     __rmul__ = __mul__
 
     def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return _scaled_norm(self.coeffs, np.linalg.norm)
 
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
@@ -254,8 +255,7 @@ class GridFunction:
         arr = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if arr.ndim != 1 or arr.size != self.n_points:
             raise ValidationError("samples must be a vector of length n_points")
-        if not _is_power_of_two(self.n_points):
-            raise GridSizeError(f"n_points={self.n_points} is not a power of two")
+        _check_grid(self.n_points)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -412,10 +412,6 @@ class BeurlingWeight:
 # ---------------------------------------------------------------------------
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _power_of_two_at_least(m: int) -> int:
     """Smallest power of two >= max(m, 8)."""
     n = 8
@@ -457,7 +453,8 @@ def _doubling_grid(start: int, measure, target: float, what: str,
 
 
 def _check_grid(n_points: int) -> None:
-    if not _is_power_of_two(n_points):
+    """The power-of-two rule of every grid."""
+    if n_points < 1 or n_points & (n_points - 1):
         raise GridSizeError(f"grid size {n_points} is not a power of two")
 
 
@@ -626,12 +623,22 @@ def weighted_l1_norm(s: CoefficientSequence, w: BeurlingWeight) -> float:
     return float(np.sum(np.abs(s.coeffs) * w(s.indices())))
 
 
+def _scaled_norm(coeffs: np.ndarray, norm) -> float:
+    """``norm(coeffs)``, taken on ``coeffs / 2^e`` with ``2^e`` above every
+    real and imaginary part, so no square overflows, and multiplied back:
+    exact scalings, so every finite result keeps its bits."""
+    parts = coeffs.view(np.float64)
+    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+    return float(np.ldexp(norm(np.ldexp(parts, -e).view(np.complex128)), e))
+
+
 def sobolev_norm(s: CoefficientSequence, order: float) -> float:
     """``sqrt( sum_n (1 + n^2)**order |c(n)|^2 )``."""
     if s.is_empty:
         return 0.0
     n = s.indices().astype(np.float64)
-    return float(np.sqrt(np.sum((1.0 + n * n) ** order * np.abs(s.coeffs) ** 2)))
+    w = (1.0 + n * n) ** order
+    return _scaled_norm(s.coeffs, lambda c: np.sqrt(np.sum(w * np.abs(c) ** 2)))
 
 
 def fractional_derivative(s: CoefficientSequence, sigma: float) -> CoefficientSequence:

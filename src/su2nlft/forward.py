@@ -96,15 +96,9 @@ def nlft_forward(F: CoefficientSequence, n_points: int | None = None) -> NlftPai
     -------
     NlftPair
         ``(a, b)`` from ``pair_from_sequences``: the determinant residual
-        on the chosen grid is computed when first read, then cached.
+        on the chosen grid is computed when first read, then cached, so a
+        caller that reads only ``a`` and ``b`` samples no grid.
     """
-    return pair_from_sequences(*_forward_sequences(F), n_points)
-
-
-def _forward_sequences(
-    F: CoefficientSequence,
-) -> tuple[CoefficientSequence, CoefficientSequence]:
-    """The clamped ``(a, b)`` of ``nlft_forward``, without its residual."""
     if F.is_empty:
         a = CoefficientSequence.constant(1.0)
         b = CoefficientSequence.empty()
@@ -112,7 +106,7 @@ def _forward_sequences(
         astar, b_rel = _product_arrays(*_normalized(F.coeffs))
         a = CoefficientSequence(F.support_lo - F.support_hi, 0, np.conj(astar[::-1]))
         b = CoefficientSequence(F.support_lo, F.support_hi, b_rel)
-    return a.clamp(CLAMP_TOL), b.clamp(CLAMP_TOL)
+    return pair_from_sequences(a.clamp(CLAMP_TOL), b.clamp(CLAMP_TOL), n_points)
 
 
 def _normalized(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -102,7 +102,7 @@ from .errors import (
     GridSizeError,
     ValidationError,
 )
-from .forward import CLAMP_TOL, _forward_sequences, nlft_forward
+from .forward import CLAMP_TOL, nlft_forward
 from .spectral import (DEFAULT_SZEGO_MARGIN, _b_lo, _ratio_grid,
                        _symbol_samples, grid_quotient, outer_complement,
                        require_outer)
@@ -125,6 +125,7 @@ __all__ = [
 ]
 
 DEFAULT_SOLVER_TOL = 1e-12
+CONTRACTION_SLACK = 1e-12  # roundoff allowed above ||x|| <= ||(1, 0)||
 IMAG_TOL = 1e-10  # allowed imaginary leakage in the leading solution entry
 
 
@@ -493,11 +494,17 @@ def layer_strip(
     return F
 
 
+def _contraction_excess(records) -> float:
+    """How far the solves exceed ``||x|| <= ||(1, 0)||``, at least 0."""
+    return max([0.0, *(r.solution_norm / r.rhs_norm - 1.0 for r in records)])
+
+
 @dataclass(eq=False)
 class InverseReport:
-    """Residual report accompanying an inversion."""
+    """Residual report accompanying an inversion, of ``b`` or (the CLI's
+    ``inverse --a``) of a supplied pair, whose residual it then holds."""
 
-    pair_residual: float  # determinant residual of the completed pair
+    pair_residual: float  # determinant residual of the stripped pair
     records: list[RhSolution]
     round_trip_residual: float  # max coefficient error of forward(F) vs b
 
@@ -507,7 +514,7 @@ class InverseReport:
 
     @property
     def contraction_ok(self) -> bool:
-        return all(r.solution_norm <= r.rhs_norm * (1 + 1e-12) for r in self.records)
+        return _contraction_excess(self.records) <= CONTRACTION_SLACK
 
 
 def _complete_and_strip(
@@ -542,12 +549,12 @@ def inverse_nlft_detailed(
     ``n_points`` is the grid of the completion (``outer_complement``),
     which otherwise sizes its own; stripping needs no grid.  The
     completion certifies its ``a*`` outer, so stripping does not check
-    it again.  The round trip reads only the ``b`` of the forward
-    transform of the result, so it samples no grid either.
+    it again.  The round trip reads only the ``b`` of ``nlft_forward``
+    of the result, never its residual, so it samples no grid either.
     """
     pair, F, records = _complete_and_strip(b, support_window, n_points,
                                            tol, szego_margin)
-    rt = max_abs_difference(_forward_sequences(F)[1], b)
+    rt = max_abs_difference(nlft_forward(F).b, b)
     report = InverseReport(pair.grid_residual, records, rt)
     if logger.isEnabledFor(logging.INFO):
         logger.info(

@@ -84,7 +84,6 @@ __all__ = [
 ]
 
 DEFAULT_SZEGO_MARGIN = 1e-6
-TAIL_TARGET = 1e-10  # tail mass goal when auto-sizing coefficient windows
 PAIR_RESIDUAL_TOL = 1e-10
 WINDING_RADIUS = 0.999
 
@@ -378,10 +377,10 @@ def symbol_ratio(
     """Coefficients of the ratio ``b / a*`` on a window.
 
     The ratio is supported on ``[support_lo(b), inf)``; with
-    ``window=None`` the window starts there and is grown until the
-    remaining tail mass (as far as the grid resolves it) drops below
-    1e-10, starting from the baseline width ``4 * width(b)``.  Without
-    ``n_points`` the grid doubles until the ratio no longer folds.
+    ``window=None`` the window starts there and ends at the last
+    coefficient above ``CLAMP_TOL``, the threshold of the fold rule
+    (``_symbol_samples``).  Without ``n_points`` the grid doubles until
+    the ratio no longer folds.
     """
     b = pair.b
     if b.is_empty:
@@ -389,17 +388,13 @@ def symbol_ratio(
     full = _full_symbol_ratio(pair, n_points)
     lo = b.support_lo
     mags = np.abs(full.coeffs)
-    if window is not None:
-        out = full.restrict(window[0], window[1])
-        tail = float(np.sum(mags[window[1] + 1 - lo :])) if window[1] >= lo else float(np.sum(mags))
-        logger.debug("symbol_ratio tail mass beyond %s: %.3e", window, tail)
-        return out
-    suffix = np.cumsum(mags[::-1])[::-1]  # suffix[k] = sum of |c| from k on
-    hi = lo + 4 * b.width
-    while hi - lo + 1 < full.width and suffix[hi + 1 - lo] > TAIL_TARGET:
-        hi += b.width
-    hi = min(hi, full.support_hi)
-    return full.restrict(lo, hi)
+    if window is None:
+        above = np.flatnonzero(mags > CLAMP_TOL)
+        window = (lo, lo + (int(above[-1]) if above.size else -1))
+    out = full.restrict(window[0], window[1])
+    tail = float(np.sum(mags[window[1] + 1 - lo :])) if window[1] >= lo else float(np.sum(mags))
+    logger.debug("symbol_ratio tail mass beyond %s: %.3e", window, tail)
+    return out
 
 
 def symbol_tail_mass(

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 import os
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +410,54 @@ class TestVerify:
         assert main(["verify", "--input", inp, "--b", inp]) == 1
         assert main(["verify"]) == 1
 
+    def test_decay_csv_of_b_rejected_before_any_check(self, tmp_path, capsys):
+        pair = nlft_forward(CoefficientSequence.from_dict(TWO_POINT))
+        b = write_seq(tmp_path / "b.json", pair.b.to_dict())
+        out, csv_path = tmp_path / "r.json", tmp_path / "d.csv"
+        assert main(["verify", "--b", b, "--support", "0..1", "--out", str(out),
+                     "--csv", str(csv_path)]) == 1
+        assert not out.exists() and not csv_path.exists()
+        captured = capsys.readouterr()
+        assert "--csv needs a sequence input" in captured.err
+        assert "overall" not in captured.err
+
+    def test_decay_csv_of_pair_rejected_before_any_check(self, tmp_path):
+        path, _ = write_pair(tmp_path / "pair.json", TWO_POINT)
+        out = tmp_path / "r.json"
+        assert main(["verify", "--input", path, "--out", str(out),
+                     "--csv", str(tmp_path / "d.csv")]) == 1
+        assert not out.exists()
+
+
+def readme_cli_lines():
+    """The ``su2nlft`` command lines of the ``sh`` block under ``## CLI``
+    in the README, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("su2nlft ")]
+
+
+class TestReadmeExamples:
+    # a purely imaginary F on [0, 6], so that --imaginary holds, small
+    # enough for every hard check of the suite to pass
+    F = {k: 0.05j * (k + 1) * (-1) ** k for k in range(7)}
+
+    def test_every_example_exits_zero(self, tmp_path, monkeypatch, capsys):
+        lines = readme_cli_lines()
+        assert {shlex.split(line)[1] for line in lines} == {
+            "forward", "inverse", "verify", "norms"}
+        pair = nlft_forward(CoefficientSequence.from_dict(self.F))
+        write_seq(tmp_path / "F.json", self.F)
+        (tmp_path / "a.json").write_text(sequence_to_json(pair.a))
+        (tmp_path / "b.json").write_text(sequence_to_json(pair.b))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NLFT_CONFIG", raising=False)
+        for line in lines:
+            code = main(shlex.split(line)[1:])
+            assert code == 0, (line, capsys.readouterr().err)
+
 
 class TestNorms:
     def test_values(self, tmp_path, capsys):
@@ -419,6 +469,26 @@ class TestNorms:
         assert obj["weighted_l1"]["one"] == pytest.approx(1.0)
         assert obj["weighted_l1"]["poly:alpha=1.0"] == pytest.approx(1.5)
         assert set(obj["sobolev"]) == {"1", "1.5", "2"}
+
+    def test_default_weights(self, tmp_path, capsys):
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        assert main(["norms", "--input", inp]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert list(obj["weighted_l1"]) == [
+            "one", "poly:alpha=0.5", "poly:alpha=1.0", "poly:alpha=2.0"]
+        assert list(obj["sobolev"]) == ["1", "1.5", "2"]
+
+    def test_huge_coefficient_norms_are_finite(self, tmp_path, capsys):
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [0, 0], "coeffs": [[1e200, 0]]}')
+        assert main(["norms", "--input", str(inp)]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        obj = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert obj["l2"] == 1e200
+        assert obj["sobolev"] == {"1": 1e200, "1.5": 1e200, "2": 1e200}
 
     def test_extra_weight(self, tmp_path, capsys):
         inp = write_seq(tmp_path / "f.json", TWO_POINT)

@@ -251,6 +251,15 @@ class TestWeights:
         assert sobolev_norm(s, 1.0) == pytest.approx(np.sqrt(9 * 5 + 16 * 2))
         assert sobolev_norm(s, 0.0) == pytest.approx(5.0)
 
+    def test_huge_coefficients_do_not_overflow_the_norms(self):
+        # the squares of 1e200 overflow; the norms are scaled by a power
+        # of two before squaring, which is exact
+        s = CoefficientSequence.single(3, 1e200)
+        assert s.l2_norm() == 1e200
+        assert sobolev_norm(s, 2.0) == pytest.approx(1e201, rel=1e-15)
+        assert sobolev_norm(s, 1.0) == pytest.approx(np.sqrt(10) * 1e200,
+                                                     rel=1e-15)
+
 
 class TestDerivatives:
     def test_derivative_multiplies_by_in(self):

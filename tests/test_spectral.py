@@ -25,6 +25,7 @@ from su2nlft import (
 )
 from su2nlft import spectral
 from su2nlft.core import MAX_GRID
+from su2nlft.forward import CLAMP_TOL
 from su2nlft.spectral import require_outer
 
 
@@ -327,6 +328,18 @@ class TestSymbolRatio:
         ratio = symbol_ratio(TWO_POINT_PAIR)
         norm = weighted_l1_norm(ratio, BeurlingWeight.one())
         assert norm == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+    def test_auto_window_ends_at_the_fold_threshold(self):
+        # the window ends at the last coefficient above CLAMP_TOL, the
+        # threshold at which the grid stops doubling
+        full = spectral._full_symbol_ratio(TWO_POINT_PAIR)
+        ratio = symbol_ratio(TWO_POINT_PAIR)
+        assert ratio.support_lo == 0
+        assert abs(ratio.coeffs[-1]) > CLAMP_TOL
+        beyond = full.restrict(ratio.support_hi + 1, full.support_hi)
+        assert np.max(np.abs(beyond.coeffs)) <= CLAMP_TOL
+        assert np.array_equal(ratio.coeffs,
+                              full.restrict(0, ratio.support_hi).coeffs)
 
     def test_tail_mass_decreases(self):
         t8 = symbol_tail_mass(TWO_POINT_PAIR, 256, (0, 8))

@@ -13,12 +13,15 @@ from su2nlft import (
     BeurlingWeight,
     CoefficientSequence,
     ConsistencyError,
+    InverseReport,
     NlftPair,
+    RhSolution,
     RhSystem,
     SzegoMarginError,
     ValidationError,
     VanishingSymbolError,
     check_antisymmetry,
+    check_contraction,
     check_decay_first_order,
     check_decay_fractional,
     check_determinant,
@@ -156,6 +159,11 @@ class TestDecay:
     def test_fractional_needs_s_at_least_one(self):
         with pytest.raises(ValidationError):
             check_decay_fractional(TWO_POINT, TWO_POINT_PAIR, 0.5)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_fractional_needs_finite_s(self, s):
+        with pytest.raises(ValidationError):
+            check_decay_fractional(TWO_POINT, TWO_POINT_PAIR, s)
 
     def test_default_grid_resolves_the_ratio(self):
         # the width-sized grid aliased b/a* here: the bound at n = 1 read
@@ -355,6 +363,18 @@ class TestOperatorChecks:
         rt, contraction = check_round_trip(TWO_POINT, TWO_POINT_PAIR)
         assert rt.passed and rt.value < 1e-10
         assert contraction.passed and contraction.value <= 1e-12
+
+    @pytest.mark.parametrize("norm, ok", [(0.5, True), (1 + 5e-13, True),
+                                          (1 + 2e-12, False)])
+    def test_contraction_rule_is_the_reports(self, norm, ok):
+        records = [RhSolution(n=0, a=None, b=None, a_star_zero=norm,
+                              tilde_a_star=None, tilde_b=None, residual=0.0,
+                              solution_norm=norm, rhs_norm=1.0)]
+        rec = check_contraction(records)
+        assert rec.passed is ok
+        assert InverseReport(0.0, records, 0.0).contraction_ok is ok
+        # the value is clamped at 0: a solve below the bound reads 0
+        assert rec.value == max(norm - 1.0, 0.0)
 
 
 class TestDecayTable:
