@@ -686,15 +686,7 @@ def _power_samples(seqs, n_points: int) -> np.ndarray:
     for row, s in zip(padded, seqs):
         row[: s.width] = s.coeffs
     spec = np.fft.fft(padded)
-    return _lag_samples(np.sum(spec.real ** 2 + spec.imag ** 2, axis=0),
-                        n_points)
-
-
-def _lag_samples(power: np.ndarray, n_points: int) -> np.ndarray:
-    """Real samples on the grid of the function whose coefficients are
-    ``ifft(power)``: a power spectrum on ``m = power.size`` points, of
-    sequences of width at most ``m / 2`` (see ``_power_samples``)."""
-    m = power.size
+    power = np.sum(spec.real ** 2 + spec.imag ** 2, axis=0)
     if m >= n_points:
         lags = np.fft.ifft(power).reshape(m // n_points, n_points).sum(axis=0)
     else:  # lags 0 .. m/2 - 1; the negative ones are their conjugates

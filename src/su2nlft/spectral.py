@@ -13,9 +13,9 @@ exponential of the mean of ``g``, automatically positive.  For ``b`` of
 width ``w`` the trigonometric polynomial ``1 - |b|^2`` has degree
 ``w - 1``, so by the Fejer-Riesz theorem its outer factor ``a*`` is a
 polynomial of degree ``w - 1``; coefficients beyond are quadrature
-error and are dropped.  ``|b|^2`` on the grid, and the determinant
-residual of the completed pair, are sampled from autocorrelations
-(``core._power_samples``).
+error and are dropped.  On each grid one inverse FFT samples ``b``,
+and one each iterate of ``a*`` below; the residual, the Newton product
+and the first grid of the winding check read those samples.
 
 The logarithm is not band-limited, so on a grid of a few times the
 width this Weiss estimate misses the determinant identity.  It is then
@@ -56,7 +56,6 @@ from .core import (
     _check_oversampled,
     _doubling_grid,
     _eval_samples,
-    _lag_samples,
     _nonvanishing,
     _pair_grid,
     _power_of_two_at_least,
@@ -148,50 +147,54 @@ def winding_number(
     return _phase_count(_circle_values(s, n_samples, radius))
 
 
-def _newton_refine(astar: np.ndarray, power_b: np.ndarray,
-                   abs2_b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _newton_refine(astar: np.ndarray, abs2_b: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Newton steps towards ``|a*|^2 = 1 - |b|^2`` on the grid of ``abs2_b``.
 
-    ``astar`` holds coefficients ``0 .. d`` and ``power_b`` is ``|fft(b)|^2``
-    on ``m >= 2 (d + 1)`` points, so ``r = 1 - |a*|^2 - |b|^2`` is sampled
-    exactly.  A step adds ``a* h``, truncated to degree ``d``, with ``h``
-    analytic and ``Re h = r / (2 |a*|^2)``, and turns ``a*(0)`` back to
-    the positive axis, which ``|a*|`` does not fix.  A start that meets
-    ``PAIR_RESIDUAL_TOL`` takes no step.  Otherwise steps go on while
-    each halves the residual, and end with the step taken from the first
-    iterate that meets the tolerance.  The aliasing of ``h`` sets the
-    contraction, 1e-4 to 1e-3 per step at width 4096 on ``4 w`` points, so
-    that last step brings the coefficients to the rounding floor without
-    a trial step to find it.  Returns the best iterate and the residual
-    of each iterate, the start first.
+    ``astar`` holds coefficients ``0 .. d`` and ``abs2_b`` samples ``|b|^2``
+    on ``n > 2 d`` points, so each iterate, sampled once, gives
+    ``r = 1 - |a*|^2 - |b|^2`` exactly.  A step adds ``a* h``, truncated
+    to degree ``d``, with ``h`` analytic and ``Re h = r / (2 |a*|^2)``,
+    and turns ``a*(0)`` back to the positive axis, which ``|a*|`` does
+    not fix; the product, of degree ``2 d``, is taken on every
+    ``(n / m)``-th sample of ``a*``, ``m = min(n, 2 p2(d + 1))``.  A start
+    that meets ``PAIR_RESIDUAL_TOL`` takes no step.  Otherwise steps go
+    on while each halves the residual, and end with the step taken from
+    the first iterate that meets the tolerance.  The aliasing of ``h``
+    sets the contraction, 1e-4 to 1e-3 per step at width 4096 on ``4 w``
+    points, so that last step brings the coefficients to the rounding
+    floor without a trial step to find it.  Returns the best iterate,
+    its samples and the residual of each iterate, the start first.
     """
-    n, m, d1 = abs2_b.size, power_b.size, astar.size
+    n, d1 = abs2_b.size, astar.size
+    m = min(n, 2 * _power_of_two_at_least(d1))
 
     def measured(c):
-        spec = np.fft.fft(c, m)
-        total = _lag_samples(spec.real ** 2 + spec.imag ** 2 + power_b, n)
-        return spec, total, float(np.max(np.abs(1.0 - total)))
+        vals = np.fft.ifft(c, n, norm="forward")
+        gap = 1.0 - (vals.real ** 2 + vals.imag ** 2) - abs2_b
+        return vals, gap, float(np.max(np.abs(gap)))
 
-    spec, total, residual = measured(astar)
+    vals, gap, residual = measured(astar)
     residuals = [residual]
     if residual <= PAIR_RESIDUAL_TOL:
-        return astar, residuals
+        return astar, vals, residuals
     while True:
-        g = (1.0 - total) / (2.0 * (total - abs2_b))
+        g = gap / (2.0 * (vals.real ** 2 + vals.imag ** 2))
         h = np.fft.rfft(g, norm="forward")[:d1]
         h[1:] *= 2.0
-        step = astar + np.fft.ifft(spec * np.fft.fft(h, m))[:d1]
+        step = astar + np.fft.fft(vals[:: n // m] * np.fft.ifft(
+            h, m, norm="forward"), norm="forward")[:d1]
         c0 = abs(step[0])
         step *= c0 / step[0]
         step[0] = c0
-        step_spec, step_total, residual = measured(step)
+        step_vals, step_gap, residual = measured(step)
         if not residual < residuals[-1]:
             break
-        astar, spec, total = step, step_spec, step_total
+        astar, vals, gap = step, step_vals, step_gap
         residuals.append(residual)
         if residual > residuals[-2] / 2 or residuals[-2] <= PAIR_RESIDUAL_TOL:
             break
-    return astar, residuals
+    return astar, vals, residuals
 
 
 def outer_complement(
@@ -242,10 +245,8 @@ def outer_complement(
     width = max(b.width, 1)
 
     def assemble(n):
-        # |b|^2 from its spectrum on m points, which holds every lag
-        spec_b = np.fft.fft(b.coeffs, 2 * _power_of_two_at_least(width))
-        power_b = spec_b.real ** 2 + spec_b.imag ** 2
-        abs2_b = _lag_samples(power_b, n)
+        bv = _eval_samples(b, n)
+        abs2_b = bv.real ** 2 + bv.imag ** 2
         sup_b = float(np.sqrt(np.max(abs2_b)))
         if sup_b > 1.0 - szego_margin:
             raise SzegoMarginError(
@@ -254,28 +255,29 @@ def outer_complement(
         # coefficients 0 .. n - 2 of a*: the window the grid resolves
         coeffs = np.fft.fft(_analytic_projection_exp(0.5 * np.log1p(-abs2_b)),
                             norm="forward")[: n - 1]
-        astar, residuals = _newton_refine(coeffs[: degree + 1], power_b, abs2_b)
+        astar, vals, residuals = _newton_refine(coeffs[: degree + 1], abs2_b)
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("outer_complement N=%d Newton steps %d residual "
                          "%.3e -> %.3e tail mass beyond %d: %.3e", n,
                          len(residuals) - 1, residuals[0], residuals[-1],
                          degree, float(np.sum(np.abs(coeffs[degree + 1 :]))))
-        return residuals[-1], (astar, residuals[-1])
+        return residuals[-1], (astar, vals, residuals[-1])
 
     # Newton steps make 4 w points enough; below 2^13 points (128 KiB of
     # complex doubles) a smaller grid saves little, and widths up to 512
     # keep the 16 w grid, and with it the Weiss result bit for bit
     start = min(_power_of_two_at_least(16 * width),
                 max(_power_of_two_at_least(4 * width), 1 << 13))
-    _, (coeffs, residual) = _doubling_grid(
+    _, (coeffs, vals, residual) = _doubling_grid(
         n_points or start, assemble, PAIR_RESIDUAL_TOL,
         "outer complement determinant residual", n_points or MAX_GRID)
     astar = CoefficientSequence(0, degree, coeffs).trim()
-    require_outer(astar)
+    require_outer(astar, vals)
     return NlftPair(star_reflect(astar), b, residual)
 
 
-def require_outer(astar: CoefficientSequence) -> None:
+def require_outer(astar: CoefficientSequence,
+                  samples: np.ndarray | None = None) -> None:
     """Raise ``OuternessError`` if ``astar`` has zeros in the unit disk.
 
     Winding on ``|z| = 1`` counts the zeros of ``a*`` inside the disk;
@@ -285,10 +287,11 @@ def require_outer(astar: CoefficientSequence) -> None:
     zero on the circle and makes the phase-unwrapped count exact.  By
     discrete Parseval ``min_j |a*(z_j)| <= |c|_2`` on any grid above
     ``deg a*``, so no ``N <= 2 pi S / |c|_2`` certifies: ``N`` starts
-    at the smallest power of two above both ``deg a*`` and that bound
-    and doubles until the certificate holds, up to ``4 * MAX_GRID``
-    samples; past that the count is taken uncertified and logged at
-    DEBUG.
+    at the smallest power of two above both ``deg a*`` and that bound,
+    or at the size of ``samples``, the values of ``astar`` on a grid
+    already sampled, when that is larger; it doubles until the
+    certificate holds, up to ``4 * MAX_GRID`` samples; past that the
+    count is taken uncertified and logged at DEBUG.
     Rounding in the samples, of the order of ``eps * sum_k |c_k|``, is
     left out of the certificate.
     """
@@ -296,9 +299,10 @@ def require_outer(astar: CoefficientSequence) -> None:
     slope = float(np.sum(k * np.abs(astar.coeffs)))
     norm = astar.l2_norm()
     bound = min(2.0 * np.pi * slope / norm if norm else 0.0, 4 * MAX_GRID - 1)
-    n = _power_of_two_at_least(max(astar.support_hi + 1, int(bound) + 1))
+    given = 0 if samples is None else samples.size
+    n = _power_of_two_at_least(max(astar.support_hi + 1, int(bound) + 1, given))
     while True:
-        vals = _circle_values(astar, n, 1.0)
+        vals = samples if n == given else _circle_values(astar, n, 1.0)
         certified = 2.0 * np.pi * slope / n < float(np.min(np.abs(vals)))
         if certified or n >= 4 * MAX_GRID:
             break

@@ -678,9 +678,9 @@ class TestGridFreeStripping:
         checked = []
         check = su2nlft.spectral.require_outer
 
-        def spy(astar):
+        def spy(astar, *samples):
             checked.append(astar)
-            return check(astar)
+            return check(astar, *samples)
 
         monkeypatch.setattr(su2nlft.spectral, "require_outer", spy)
         monkeypatch.setattr(su2nlft.inverse, "require_outer", spy)

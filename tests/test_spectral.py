@@ -125,15 +125,15 @@ class TestOuterComplement:
 
 @pytest.fixture
 def completion_grids(monkeypatch):
-    """Grid sizes on which ``outer_complement`` samples ``|.|^2``."""
+    """Grid sizes on which ``outer_complement`` samples ``b``."""
     sizes = []
-    lag_samples = spectral._lag_samples
+    eval_samples = spectral._eval_samples
 
-    def spy(power, n_points):
+    def spy(s, n_points):
         sizes.append(n_points)
-        return lag_samples(power, n_points)
+        return eval_samples(s, n_points)
 
-    monkeypatch.setattr(spectral, "_lag_samples", spy)
+    monkeypatch.setattr(spectral, "_eval_samples", spy)
     return sizes
 
 
@@ -190,6 +190,27 @@ class TestNewtonRefinement:
         assert comp.grid_residual <= spectral.PAIR_RESIDUAL_TOL
         assert max_abs_difference(comp.a, pair.a) <= 1e-12
         assert max(completion_grids) <= 16 * width
+
+    def test_winding_check_starts_from_the_completion_samples(
+            self, completion_grids, monkeypatch):
+        # the Parseval start of this a* is its completion grid, 2^14: the
+        # winding check reads the completion's samples there and samples
+        # only the doubled grid, on which its count is certified
+        pair = wide_law_pair(7, 4096)
+        astar = star_reflect(pair.a)
+        slope = np.sum(np.arange(astar.width) * np.abs(astar.coeffs))
+        assert 1 << 13 < 2 * np.pi * slope / astar.l2_norm() < 1 << 14
+        circle = []
+        evaluate = spectral._circle_values
+
+        def spy(s, n_samples, radius):
+            circle.append(n_samples)
+            return evaluate(s, n_samples, radius)
+
+        monkeypatch.setattr(spectral, "_circle_values", spy)
+        outer_complement(pair.b)
+        assert set(completion_grids) == {1 << 14}
+        assert circle == [1 << 15]
 
     def test_width_512_keeps_the_16x_grid_and_takes_no_step(self, caplog):
         pair = wide_law_pair(7, 512)
