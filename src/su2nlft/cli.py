@@ -36,7 +36,7 @@ from .inverse import (DEFAULT_SOLVER_TOL, InverseReport, inverse_nlft_detailed,
                       layer_strip_detailed)
 from .spectral import DEFAULT_SZEGO_MARGIN
 from .verify import (ROUND_TRIP_TOL, SOBOLEV_ORDERS, WEIGHT_EXPONENTS,
-                     decay_table, run_pair_checks, run_suite)
+                     run_pair_checks, run_suite)
 
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
@@ -465,8 +465,8 @@ def cmd_verify(args, cfg: Config) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "abs_F_n", "first_order_rhs"])
-            for n, mag, rhs in decay_table(F, nlft_forward(F, cfg.n_points),
-                                           n_points=cfg.n_points):
+            # without b/a* the table is empty, and an error record exits 2
+            for n, mag, rhs in report.decay_rows or ():
                 writer.writerow([n, f"{mag:.17g}",
                                  "" if rhs is None else f"{rhs:.17g}"])
     return 0 if report.overall_pass else 2

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     GridSizeError,
+    NumericalError,
     ValidationError,
     VanishingSymbolError,
     WeightError,
@@ -620,16 +621,23 @@ def weighted_l1_norm(s: CoefficientSequence, w: BeurlingWeight) -> float:
     if s.is_empty:
         return 0.0
     w.validate_range(2 * max(abs(s.support_lo), abs(s.support_hi)))
-    return float(np.sum(np.abs(s.coeffs) * w(s.indices())))
+    weights = w(s.indices())
+    return _scaled_norm(s.coeffs, lambda c: np.sum(np.abs(c) * weights))
 
 
 def _scaled_norm(coeffs: np.ndarray, norm) -> float:
     """``norm(coeffs)``, taken on ``coeffs / 2^e`` with ``2^e`` above every
-    real and imaginary part, so no square overflows, and multiplied back:
-    exact scalings, so every finite result keeps its bits."""
+    real and imaginary part, so no square or sum overflows, and multiplied
+    back: exact scalings, so every finite result keeps its bits.  A norm
+    beyond the double range raises ``NumericalError``."""
     parts = coeffs.view(np.float64)
     e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
-    return float(np.ldexp(norm(np.ldexp(parts, -e).view(np.complex128)), e))
+    scaled = float(norm(np.ldexp(parts, -e).view(np.complex128)))
+    try:
+        return math.ldexp(scaled, e)
+    except OverflowError:
+        raise NumericalError(f"a norm of {scaled!r} * 2^{e} is beyond the "
+                             "double range") from None
 
 
 def sobolev_norm(s: CoefficientSequence, order: float) -> float:

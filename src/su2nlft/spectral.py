@@ -160,11 +160,17 @@ def _newton_refine(astar: np.ndarray, abs2_b: np.ndarray
     ``(n / m)``-th sample of ``a*``, ``m = min(n, 2 p2(d + 1))``.  A start
     that meets ``PAIR_RESIDUAL_TOL`` takes no step.  Otherwise steps go
     on while each halves the residual, and end with the step taken from
-    the first iterate that meets the tolerance.  The aliasing of ``h``
-    sets the contraction, 1e-4 to 1e-3 per step at width 4096 on ``4 w``
-    points, so that last step brings the coefficients to the rounding
-    floor without a trial step to find it.  Returns the best iterate,
-    its samples and the residual of each iterate, the start first.
+    the first iterate that meets the tolerance.
+
+    The aliasing of ``h`` sets the contraction.  On the benchmark's wide
+    draws at width 4096 on ``4 w`` points it is 1e-4 to 1e-3 per step
+    (4.8e-6, 1.1e-9, 2.3e-13, 1.1e-15 on one draw), so that last step
+    brings the coefficients to the rounding floor without a trial step
+    to find it.  On Gaussian data at width 4096,
+    ``F_k = 0.3 (N(0,1) + i N(0,1)) / 64``, the Weiss start is at 9.5e-3
+    and each step multiplies the residual by only 0.23 to 0.29: 16 steps
+    end at 1.7e-11.  Returns the best iterate, its samples and the
+    residual of each iterate, the start first.
     """
     n, d1 = abs2_b.size, astar.size
     m = min(n, 2 * _power_of_two_at_least(d1))
@@ -221,9 +227,10 @@ def outer_complement(
         (``GridSizeError`` otherwise), used as the only grid, Newton
         steps included.  When absent the grid starts at
         ``min(p2(16 w), max(p2(4 w), 2^13))``, ``w = width(b)`` and
-        ``p2`` the next power of two, and doubles up to
-        ``core.MAX_GRID`` until the pair meets the determinant identity
-        within ``PAIR_RESIDUAL_TOL``.
+        ``p2`` the next power of two, which must not pass
+        ``core.MAX_GRID``, and doubles up to
+        ``max(core.MAX_GRID, p2(8 w))`` until the pair meets the
+        determinant identity within ``PAIR_RESIDUAL_TOL``.
     szego_margin : float
         Required distance of ``sup |b|`` from 1.
 
@@ -236,7 +243,7 @@ def outer_complement(
     ConsistencyError
         If the pair misses the determinant identity by more than
         ``PAIR_RESIDUAL_TOL`` after the Newton steps on ``n_points``, or
-        on ``core.MAX_GRID`` points; or if the start grid is already
+        on the largest grid allowed; or if the start grid is already
         above ``core.MAX_GRID``.
     """
     if n_points is not None:
@@ -268,9 +275,13 @@ def outer_complement(
     # keep the 16 w grid, and with it the Weiss result bit for bit
     start = min(_power_of_two_at_least(16 * width),
                 max(_power_of_two_at_least(4 * width), 1 << 13))
+    # a start above MAX_GRID refuses the width; below it the grid may
+    # double on to 8 w, which the Newton steps need from width 2^16
+    cap = MAX_GRID if start > MAX_GRID else max(
+        MAX_GRID, _power_of_two_at_least(8 * width))
     _, (coeffs, vals, residual) = _doubling_grid(
         n_points or start, assemble, PAIR_RESIDUAL_TOL,
-        "outer complement determinant residual", n_points or MAX_GRID)
+        "outer complement determinant residual", n_points or cap)
     astar = CoefficientSequence(0, degree, coeffs).trim()
     require_outer(astar, vals)
     return NlftPair(star_reflect(astar), b, residual)

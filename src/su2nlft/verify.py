@@ -155,6 +155,9 @@ class CheckRecord:
 class VerificationReport:
     records: list[CheckRecord] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+    # run_suite's decay_table rows, read from its own pair and b/a*; None
+    # when b/a* could not be built.  Not part of to_dict
+    decay_rows: list | None = None
 
     @property
     def overall_pass(self) -> bool:
@@ -231,7 +234,13 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
     by at most its tolerance from ``N/2`` to ``N``; the detail names ``N``.
     Raises ``SzegoMarginError`` when the gap is not positive on the nodes.
     """
-    lhs = float(np.sum(np.log1p(np.abs(F.coeffs) ** 2))) if not F.is_empty else 0.0
+    # log1p(|F|^2), as 2 log|F| + log1p(|F|^-2) above 1, where the square
+    # overflows from |F| ~ 1.3e154
+    mag = np.abs(F.coeffs)
+    big = mag > 1.0
+    lhs = 2.0 * float(np.sum(np.log(mag[big])))
+    mag[big] = 1.0 / mag[big]
+    lhs += float(np.sum(np.log1p(mag ** 2)))
     mean = functools.cache(functools.partial(_shifted_log_gap_mean, pair.b))
 
     def richardson(n):  # each mean is computed once
@@ -717,7 +726,8 @@ def run_suite(
     ``n_points``: their completion sizes its own grid, and stripping
     needs none.
 
-    ``b/a*`` is built once for the decay records and, without
+    ``b/a*`` is built once for the decay records and for
+    ``report.decay_rows``, the rows of ``decay_table``; without
     ``n_points``, its fold grid is also the LU check's (raised to the
     LU window floor).  The Baxter records read one ``b/a*`` of the
     reflected pair, built for the first weight that applies.
@@ -772,6 +782,7 @@ def run_suite(
         ratio = _full_symbol_ratio(pair, n_points)
         ratio_grid = ratio.width + 1  # the ratio spans N - 1 indices
         report.records += _decay_records(F, pair, ratio, SOBOLEV_ORDERS)
+        report.decay_rows = _decay_rows(F, pair, ratio)
     except NumericalError as exc:
         report.records.append(
             _error_record("decay", "first_order_decay_bound", exc))

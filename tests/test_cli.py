@@ -4,6 +4,7 @@ import math
 import os
 import shlex
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2nlft.core
+import su2nlft.verify
 from su2nlft import (
     CoefficientSequence,
     NlftPair,
@@ -377,6 +379,70 @@ class TestVerify:
         assert rows[1][0] == "0" and rows[1][2] == ""
         assert float(rows[2][2]) > float(rows[2][1])
 
+    def test_decay_csv_reads_the_suite_pair_and_ratio(self, tmp_path,
+                                                       monkeypatch):
+        import su2nlft.cli as cli
+        pairs, ratios = [], []
+        forward = su2nlft.verify.nlft_forward
+        full_ratio = su2nlft.verify._full_symbol_ratio
+
+        def forward_spy(F, n_points=None):
+            pairs.append(forward(F, n_points))
+            return pairs[-1]
+
+        def ratio_spy(pair, n_points=None):
+            ratios.append(pair)
+            return full_ratio(pair, n_points)
+
+        monkeypatch.setattr(cli, "nlft_forward", forward_spy)
+        monkeypatch.setattr(su2nlft.verify, "nlft_forward", forward_spy)
+        monkeypatch.setattr(su2nlft.verify, "_full_symbol_ratio", ratio_spy)
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        csv_path = tmp_path / "decay.csv"
+        assert main(["verify", "--input", inp, "--out", str(tmp_path / "r.json"),
+                     "--csv", str(csv_path)]) == 0
+        # one forward pair; one b/a* of it (the Baxter ratios read the
+        # reflected pair)
+        assert len(pairs) == 1
+        assert sum(pair is pairs[0] for pair in ratios) == 1
+        F = CoefficientSequence.from_dict(TWO_POINT)
+        expected = [["n", "abs_F_n", "first_order_rhs"]] + [
+            [str(n), f"{mag:.17g}", "" if rhs is None else f"{rhs:.17g}"]
+            for n, mag, rhs in su2nlft.decay_table(F, nlft_forward(F))]
+        with open(csv_path, newline="") as fh:
+            assert list(csv.reader(fh)) == expected
+
+    def test_decay_csv_without_a_ratio_exits_2(self, tmp_path, monkeypatch):
+        def unfolded(pair, n_points=None):
+            raise su2nlft.ConsistencyError("b/a* folds on every grid")
+
+        monkeypatch.setattr(su2nlft.verify, "_full_symbol_ratio", unfolded)
+        inp = write_seq(tmp_path / "f.json", TWO_POINT)
+        csv_path = tmp_path / "decay.csv"
+        assert main(["verify", "--input", inp, "--out", str(tmp_path / "r.json"),
+                     "--csv", str(csv_path)]) == 2
+        with open(csv_path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["n", "abs_F_n", "first_order_rhs"]]
+
+    def test_plancherel_sum_of_a_huge_entry_is_finite(self, tmp_path):
+        # log1p(|F|^2) overflowed from |F| ~ 1.3e154; the record is finite,
+        # fails, and the run exits 2 without a warning
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [0, 1], "coeffs": [[1e200, 0], [0.5, 0]]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--input", str(inp), "--out", str(out)]) == 2
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        records = json.loads(out.read_text(), parse_constant=reject)["records"]
+        rec = next(r for r in records if r["name"] == "plancherel")
+        assert rec["lhs"] == pytest.approx(400 * math.log(10) + math.log(1.25),
+                                           rel=1e-15)
+        assert rec["passed"] is False
+
     def test_decay_csv_needs_sequence(self, tmp_path):
         path, _ = write_pair(tmp_path / "pair.json", TWO_POINT)
         assert main(["verify", "--input", path,
@@ -489,6 +555,22 @@ class TestNorms:
         obj = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert obj["l2"] == 1e200
         assert obj["sobolev"] == {"1": 1e200, "1.5": 1e200, "2": 1e200}
+
+    @pytest.mark.parametrize("coeffs", [
+        "[[1.5e308, 1.5e308]]",  # |c| itself is past the double range
+        "[[1e308, 0], [1e308, 0]]",  # the l1 sum and the H^s sums are
+    ])
+    def test_norm_past_the_double_range_exits_2(self, tmp_path, capsys,
+                                                coeffs):
+        inp = tmp_path / "f.json"
+        width = coeffs.count("[") - 1
+        inp.write_text(f'{{"support": [0, {width - 1}], "coeffs": {coeffs}}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norms", "--input", str(inp)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "double range" in captured.err
 
     def test_extra_weight(self, tmp_path, capsys):
         inp = write_seq(tmp_path / "f.json", TWO_POINT)

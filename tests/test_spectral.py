@@ -191,6 +191,16 @@ class TestNewtonRefinement:
         assert max_abs_difference(comp.a, pair.a) <= 1e-12
         assert max(completion_grids) <= 16 * width
 
+    def test_width_2_16_doubles_past_max_grid_to_8x(self, completion_grids):
+        # on 4 w = MAX_GRID points the Newton steps stall; the cap of the
+        # doubling is p2(8 w), and 8 w points complete
+        width = 1 << 16
+        pair = roadmap_law_pair(width)
+        comp = outer_complement(pair.b)
+        assert comp.grid_residual <= spectral.PAIR_RESIDUAL_TOL
+        assert max_abs_difference(comp.a, pair.a) <= 1e-12
+        assert sorted(set(completion_grids)) == [MAX_GRID, 8 * width]
+
     def test_winding_check_starts_from_the_completion_samples(
             self, completion_grids, monkeypatch):
         # the Parseval start of this a* is its completion grid, 2^14: the

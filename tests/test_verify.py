@@ -104,6 +104,16 @@ class TestPlancherel:
         rec = check_plancherel(SINGULAR, SINGULAR_PAIR)
         assert rec.passed and rec.detail == f"grid={default_grid_size(2)}"
 
+    def test_sum_of_entries_above_one(self):
+        # above |F| = 1 the sum takes 2 log|F| + log1p(|F|^-2): the same
+        # value where |F|^2 is a double, a finite one where it overflows
+        for big, expected in [(3.0, math.log(10)),
+                              (1e200, 400 * math.log(10))]:
+            F = seq({0: big, 1: 0.5})
+            rec = check_plancherel(F, nlft_forward(F), n_points=64)
+            assert rec.lhs == pytest.approx(expected + math.log(1.25),
+                                            rel=1e-15)
+
     def test_hypothesis_error_when_b_exceeds_one(self):
         bad = NlftPair(SINGULAR_PAIR.a, SINGULAR_PAIR.b.scale(1.3), 0.0)
         with pytest.raises(SzegoMarginError):
