@@ -617,19 +617,24 @@ def reciprocal_residual(
 
 
 def weighted_l1_norm(s: CoefficientSequence, w: BeurlingWeight) -> float:
-    """Weighted coefficient norm ``sum_n |c(n)| w(n)``."""
+    """Weighted coefficient norm ``sum_n |c(n)| w(n)``; ``NumericalError``
+    when it is beyond the double range.  Every term is positive, so a
+    term or partial sum that overflows means the norm does."""
     if s.is_empty:
         return 0.0
     w.validate_range(2 * max(abs(s.support_lo), abs(s.support_hi)))
-    weights = w(s.indices())
-    return _scaled_norm(s.coeffs, lambda c: np.sum(np.abs(c) * weights))
+    with np.errstate(over="ignore"):
+        norm = float(np.sum(np.abs(s.coeffs) * w(s.indices())))
+    if norm == math.inf:
+        raise NumericalError("a weighted l1 norm is beyond the double range")
+    return norm
 
 
 def _scaled_norm(coeffs: np.ndarray, norm) -> float:
     """``norm(coeffs)``, taken on ``coeffs / 2^e`` with ``2^e`` above every
-    real and imaginary part, so no square or sum overflows, and multiplied
-    back: exact scalings, so every finite result keeps its bits.  A norm
-    beyond the double range raises ``NumericalError``."""
+    real and imaginary part, so no square overflows, and multiplied back:
+    exact scalings, so every finite result keeps its bits.  A norm beyond
+    the double range raises ``NumericalError``."""
     parts = coeffs.view(np.float64)
     e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
     scaled = float(norm(np.ldexp(parts, -e).view(np.complex128)))

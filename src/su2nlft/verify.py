@@ -318,14 +318,19 @@ def _decay_rows(F: CoefficientSequence, pair: NlftPair,
 
 
 def _decay_records(F: CoefficientSequence, pair: NlftPair,
-                   ratio: CoefficientSequence, orders) -> list[CheckRecord]:
+                   ratio: CoefficientSequence, orders,
+                   rows=None) -> list[CheckRecord]:
     """The ``decay_first_order`` record, then one ``decay_fractional_s*``
     record per Sobolev order in ``orders``, all read from ``ratio``, the
-    ``b/a*`` of ``_full_symbol_ratio``; ``sup |(b/a*)'|`` is sampled once."""
+    ``b/a*`` of ``_full_symbol_ratio``, and from ``rows``, its
+    ``_decay_rows`` (built here if not given); ``sup |(b/a*)'|`` is
+    sampled once."""
+    if rows is None:
+        rows = _decay_rows(F, pair, ratio)
     # (margin, |F_n|, bound, n) off the centre; the first worst is kept
     margin, mag, bound, n = min(
         [(bound - mag, mag, bound, n) for n, mag, bound
-         in _decay_rows(F, pair, ratio) if bound is not None and mag != 0],
+         in rows if bound is not None and mag != 0],
         key=lambda row: row[0], default=(0.0, 0.0, 0.0, None))
     records = [CheckRecord(
         name="decay_first_order", anchor="first_order_decay_bound", kind=HARD,
@@ -781,8 +786,9 @@ def run_suite(
     try:
         ratio = _full_symbol_ratio(pair, n_points)
         ratio_grid = ratio.width + 1  # the ratio spans N - 1 indices
-        report.records += _decay_records(F, pair, ratio, SOBOLEV_ORDERS)
         report.decay_rows = _decay_rows(F, pair, ratio)
+        report.records += _decay_records(F, pair, ratio, SOBOLEV_ORDERS,
+                                         report.decay_rows)
     except NumericalError as exc:
         report.records.append(
             _error_record("decay", "first_order_decay_bound", exc))

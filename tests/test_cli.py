@@ -556,15 +556,16 @@ class TestNorms:
         assert obj["l2"] == 1e200
         assert obj["sobolev"] == {"1": 1e200, "1.5": 1e200, "2": 1e200}
 
-    @pytest.mark.parametrize("coeffs", [
-        "[[1.5e308, 1.5e308]]",  # |c| itself is past the double range
-        "[[1e308, 0], [1e308, 0]]",  # the l1 sum and the H^s sums are
+    @pytest.mark.parametrize("text", [
+        # |c| itself is past the double range
+        '{"support": [0, 0], "coeffs": [[1.5e308, 1.5e308]]}',
+        # |c| and the l2 norm are doubles, the weighted l1 norms are not
+        '{"support": [0, 1], "coeffs": [[1e308, 0], [1e308, 0]]}',
     ])
     def test_norm_past_the_double_range_exits_2(self, tmp_path, capsys,
-                                                coeffs):
+                                                text):
         inp = tmp_path / "f.json"
-        width = coeffs.count("[") - 1
-        inp.write_text(f'{{"support": [0, {width - 1}], "coeffs": {coeffs}}}')
+        inp.write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["norms", "--input", str(inp)]) == 2
