@@ -127,11 +127,16 @@ def _circle_values(
 
 def _phase_count(vals: np.ndarray) -> int:
     """Winding of the closed polygon through ``vals`` around 0: the sum of
-    the turning angles ``arg(v_{j+1} / v_j)``, each in ``(-pi, pi]``.
-    The quotient, unlike ``v_{j+1} conj(v_j)``, neither underflows nor
-    overflows for samples of any finite nonzero size."""
-    steps = np.angle(np.roll(vals, -1) / vals)
-    return int(np.rint(steps.sum() / (2.0 * np.pi)))
+    the turning angles, each the difference ``d`` of the arguments
+    ``arg v_{j+1} - arg v_j`` taken into ``[-pi, pi]``.  The ``d`` sum to
+    0 around the polygon, so the turning angles sum to ``2 pi`` times
+    the count of steps with ``d < -pi`` less those with ``d > pi``.
+    Arguments, unlike the quotients ``v_{j+1} / v_j`` or the products
+    ``v_{j+1} conj(v_j)``, neither underflow nor overflow for samples of
+    any finite nonzero size."""
+    phase = np.angle(vals)
+    d = np.roll(phase, -1) - phase
+    return int(np.count_nonzero(d < -np.pi) - np.count_nonzero(d > np.pi))
 
 
 def winding_number(
@@ -237,7 +242,8 @@ def outer_complement(
     Raises
     ------
     SzegoMarginError
-        If ``max |b|`` on the grid exceeds ``1 - szego_margin``.
+        If ``max |b|`` on the grid, or already the largest ``|b_k|``,
+        exceeds ``1 - szego_margin``.
     OuternessError
         If the truncated ``a*`` winds around 0 on ``|z| = 1``.
     ConsistencyError
@@ -248,6 +254,14 @@ def outer_complement(
     """
     if n_points is not None:
         _check_oversampled(b.width, n_points)
+    # sup |b| >= ||b||_2 >= max_k |b_k|; refused before sampling, as the
+    # samples of a coefficient near the largest double overflow
+    with np.errstate(over="ignore"):  # a |b_k| past the range reads inf
+        peak = float(np.max(np.abs(b.coeffs), initial=0.0))
+    if peak > 1.0 - szego_margin:
+        raise SzegoMarginError(
+            f"sup |b| >= max_k |b_k| = {peak:.12g}, within {szego_margin:.3e}"
+            " of 1 or above it")
     degree = max(b.width - 1, 0)
     width = max(b.width, 1)
 

@@ -12,7 +12,11 @@ and returns a small record.  Checks come in three kinds:
 
 ``run_suite`` composes everything, including a full inverse round trip.
 It builds ``b/a*`` once for its decay records and once, reflected, for
-its Baxter ratios, and its LU check reuses the grid of the first.
+its Baxter ratios, and its LU check reuses the grid of the first.  The
+suites build each record under one guard (``_guarded``), which turns a
+check's ``NumericalError`` into that check's ``error`` record, and the
+six hard identity checks build theirs by one pass rule
+(``_hard_record``: ``value <= tolerance``, so a NaN fails).
 
 The LU and antisymmetry checks apply grid multipliers to random
 windowed probes as window-sized convolutions by the multipliers' grid
@@ -26,6 +30,7 @@ miss.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import logging
 import math
@@ -55,7 +60,6 @@ from .errors import (
     NumericalError,
     SzegoMarginError,
     ValidationError,
-    VanishingSymbolError,
 )
 from .forward import nlft_forward
 from .inverse import (CONTRACTION_SLACK, DEFAULT_SOLVER_TOL, RhSystem,
@@ -182,6 +186,15 @@ class VerificationReport:
         }
 
 
+def _hard_record(name: str, anchor: str, lhs, rhs, value: float,
+                 tolerance: float, detail: str = "") -> CheckRecord:
+    """A ``hard`` record that passes iff ``value <= tolerance``; a NaN
+    value fails."""
+    return CheckRecord(name=name, anchor=anchor, kind=HARD, lhs=lhs, rhs=rhs,
+                       value=value, passed=value <= tolerance,
+                       tolerance=tolerance, detail=detail)
+
+
 # ---------------------------------------------------------------------------
 # hard identity checks
 # ---------------------------------------------------------------------------
@@ -192,17 +205,9 @@ def check_determinant(pair: NlftPair, n_points: int | None = None) -> CheckRecor
     if n_points is None:
         n_points = _pair_grid(pair)
     s = _power_samples((pair.a, pair.b), n_points)
-    residual = float(np.max(np.abs(s - 1.0)))
-    return CheckRecord(
-        name="determinant",
-        anchor="su2_determinant_identity",
-        kind=HARD,
-        lhs=float(np.max(s)),
-        rhs=1.0,
-        value=residual,
-        passed=residual <= DET_TOL,
-        tolerance=DET_TOL,
-    )
+    return _hard_record("determinant", "su2_determinant_identity",
+                        float(np.max(s)), 1.0,
+                        float(np.max(np.abs(s - 1.0))), DET_TOL)
 
 
 def _shifted_log_gap_mean(b: CoefficientSequence, n_points: int) -> float:
@@ -236,7 +241,8 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
     """
     # log1p(|F|^2), as 2 log|F| + log1p(|F|^-2) above 1, where the square
     # overflows from |F| ~ 1.3e154
-    mag = np.abs(F.coeffs)
+    with np.errstate(over="ignore"):  # an |F| past the range reads inf
+        mag = np.abs(F.coeffs)
     big = mag > 1.0
     lhs = 2.0 * float(np.sum(np.log(mag[big])))
     mag[big] = 1.0 / mag[big]
@@ -253,18 +259,8 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
             PLANCHEREL_TOL, "plancherel quadrature")
     else:
         rhs = richardson(n_points)
-    residual = abs(lhs - rhs)
-    return CheckRecord(
-        name="plancherel",
-        anchor="szego_plancherel_identity",
-        kind=HARD,
-        lhs=lhs,
-        rhs=rhs,
-        value=residual,
-        passed=residual <= PLANCHEREL_TOL,
-        tolerance=PLANCHEREL_TOL,
-        detail=f"grid={n_points}",
-    )
+    return _hard_record("plancherel", "szego_plancherel_identity", lhs, rhs,
+                        abs(lhs - rhs), PLANCHEREL_TOL, f"grid={n_points}")
 
 
 def check_sinh_bound(F: CoefficientSequence, w: BeurlingWeight,
@@ -311,10 +307,16 @@ def _a_star_zero(pair: NlftPair) -> float:
 
 def _decay_rows(F: CoefficientSequence, pair: NlftPair,
                 ratio: CoefficientSequence):
-    """The rows of ``decay_table`` for ``ratio = b/a*``."""
+    """The rows of ``decay_table`` for ``ratio = b/a*``; ``NumericalError``
+    when some ``|F_n|`` is beyond the double range."""
+    # numpy's abs reads inf past the range, where Python's raises
+    with np.errstate(over="ignore"):
+        mags = [float(abs(c)) for c in F.coeffs]
+    if not all(map(math.isfinite, mags)):
+        raise NumericalError("some |F_n| is beyond the double range")
     scale = 2.0 * _a_star_zero(pair) * derivative(ratio).l2_norm()
-    return [(int(n), float(abs(F.coefficient(n))),
-             scale / abs(n) if n != 0 else None) for n in F.indices()]
+    return [(int(n), mag, scale / abs(n) if n != 0 else None)
+            for n, mag in zip(F.indices(), mags)]
 
 
 def _decay_records(F: CoefficientSequence, pair: NlftPair,
@@ -340,11 +342,17 @@ def _decay_records(F: CoefficientSequence, pair: NlftPair,
         # the ratio spans N - 1 indices of its N-point grid
         deriv_inf = float(np.max(np.abs(_eval_samples(derivative(ratio),
                                                       ratio.width + 1))))
-    for s in orders:
+    with np.errstate(over="ignore"):  # a term past the range reads inf
+        terms = [[abs(c) * abs(n) ** s for n, c in zip(F.indices(), F.coeffs)
+                  if n != 0 and c != 0] for s in orders]
+    for s, nums in zip(orders, terms):
         denom = (_a_star_zero(pair) * (1.0 + sobolev_norm(ratio, s))
                  * max(1.0, deriv_inf) ** math.ceil(s))
-        nums = [abs(c) * abs(n) ** s for n, c in zip(F.indices(), F.coeffs)
-                if n != 0 and c != 0]
+        # a*(0) underflows to 0 for F near the largest double
+        if not (0.0 < denom < math.inf and all(map(math.isfinite, nums))):
+            raise NumericalError(
+                f"the order-{s:g} decay ratio has a term beyond the double "
+                f"range or a zero denominator")
         lhs = max(nums, key=lambda num: num / denom, default=0.0)
         records.append(CheckRecord(
             name=f"decay_fractional_s{s:g}", anchor="fractional_decay_ratio",
@@ -372,6 +380,8 @@ def check_decay_fractional(F: CoefficientSequence, pair: NlftPair, s: float,
     The estimate's absolute constant is unspecified, so the max ratio is
     recorded without a pass/fail gate.  Without ``n_points`` the grid
     doubles as in ``decay_table``, and the derivative is sampled on it.
+    ``NumericalError`` when a term is past the double range or ``a*(0)``
+    underflows to 0.
     """
     if not 1 <= s < math.inf:  # NaN fails too
         raise ValidationError("fractional decay needs a finite s >= 1")
@@ -531,18 +541,9 @@ def check_lu_factorization(pair: NlftPair, n_points: int | None = None,
                                         [0], axis=0)
     worst_probe = float(np.max(np.sqrt(out_sq / in_sq)))
 
-    value = max(res_lu, worst_probe)
-    return CheckRecord(
-        name="lu_factorization",
-        anchor="lu_factorization_identity",
-        kind=HARD,
-        lhs=res_lu,
-        rhs=worst_probe,
-        value=value,
-        passed=value <= LU_TOL,
-        tolerance=LU_TOL,
-        detail=f"n={n} probes={n_probes} grid={n_points}",
-    )
+    return _hard_record("lu_factorization", "lu_factorization_identity",
+                        res_lu, worst_probe, max(res_lu, worst_probe), LU_TOL,
+                        f"n={n} probes={n_probes} grid={n_points}")
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +576,9 @@ def check_antisymmetry(pair: NlftPair, n: int | None = None,
     worst = float(np.max(
         np.abs(s) / (np.linalg.norm(x, axis=0) * np.linalg.norm(y, axis=0)),
         initial=0.0))
-    return CheckRecord(
-        name="antisymmetry",
-        anchor="rh_antisymmetry",
-        kind=HARD,
-        lhs=worst,
-        rhs=0.0,
-        value=worst,
-        passed=worst <= ANTISYM_TOL,
-        tolerance=ANTISYM_TOL,
-        detail=f"n={n} probes={n_probes} grid={sys.n_points}",
-    )
+    return _hard_record("antisymmetry", "rh_antisymmetry", worst, 0.0, worst,
+                        ANTISYM_TOL,
+                        f"n={n} probes={n_probes} grid={sys.n_points}")
 
 
 def check_contraction(records) -> CheckRecord:
@@ -593,17 +586,9 @@ def check_contraction(records) -> CheckRecord:
     (``inverse._contraction_excess``, as ``InverseReport.contraction_ok``)."""
     records = list(records)
     worst = _contraction_excess(records)
-    return CheckRecord(
-        name="contraction",
-        anchor="rh_inverse_contraction",
-        kind=HARD,
-        lhs=1.0 + worst,
-        rhs=1.0,
-        value=float(worst),
-        passed=worst <= CONTRACTION_SLACK,
-        tolerance=CONTRACTION_SLACK,
-        detail=f"solves={len(records)}",
-    )
+    return _hard_record("contraction", "rh_inverse_contraction", 1.0 + worst,
+                        1.0, float(worst), CONTRACTION_SLACK,
+                        f"solves={len(records)}")
 
 
 def check_round_trip(F: CoefficientSequence, pair: NlftPair,
@@ -616,15 +601,10 @@ def check_round_trip(F: CoefficientSequence, pair: NlftPair,
     window = (F.support_lo, F.support_hi) if not F.is_empty else (0, 0)
     _, recovered, records = _complete_and_strip(
         pair.b, window, None, solver_tol, szego_margin)
-    rt = _round_trip_record(max_abs_difference(recovered, F), tol,
-                            f"window=[{window[0]},{window[1]}]")
-    return rt, check_contraction(records)
-
-
-def _round_trip_record(err: float, tol: float, detail: str) -> CheckRecord:
-    return CheckRecord(
-        name="round_trip", anchor="round_trip_recovery", kind=HARD, lhs=err,
-        rhs=0.0, value=err, passed=err <= tol, tolerance=tol, detail=detail)
+    err = max_abs_difference(recovered, F)
+    return (_hard_record("round_trip", "round_trip_recovery", err, 0.0, err,
+                         tol, f"window=[{window[0]},{window[1]}]"),
+            check_contraction(records))
 
 
 def decay_table(F: CoefficientSequence, pair: NlftPair,
@@ -633,7 +613,8 @@ def decay_table(F: CoefficientSequence, pair: NlftPair,
 
     The rhs column is ``None`` at ``n = 0``, where the first-order bound
     says nothing.  Without ``n_points`` the grid of ``b/a*`` doubles as
-    in ``RhSystem.build`` (``ConsistencyError`` past ``core.MAX_GRID``).
+    in ``RhSystem.build`` (``ConsistencyError`` past ``core.MAX_GRID``);
+    ``NumericalError`` when some ``|F_n|`` is past the double range.
     """
     return _decay_rows(F, pair, _full_symbol_ratio(pair, n_points))
 
@@ -643,54 +624,61 @@ def decay_table(F: CoefficientSequence, pair: NlftPair,
 # ---------------------------------------------------------------------------
 
 
-def _error_record(name: str, anchor: str, exc: Exception) -> CheckRecord:
+def _error_record(name: str, anchor: str, exc: Exception,
+                  weight: str | None = None) -> CheckRecord:
     return CheckRecord(
-        name=name,
-        anchor=anchor,
-        kind=ERROR,
-        lhs=None,
-        rhs=None,
-        value=None,
-        passed=False,
-        tolerance=None,
-        detail=f"{type(exc).__name__}: {exc}",
-    )
+        name=name, anchor=anchor, kind=ERROR, lhs=None, rhs=None, value=None,
+        passed=False, tolerance=None, weight=weight,
+        detail=f"{type(exc).__name__}: {exc}")
 
 
-def _operator_records(pair: NlftPair, n_points: int | None, seed: int,
-                      ratio_grid: int | None = None) -> list[CheckRecord]:
-    """The LU and skew-adjointness checks of a pair.
+def _guarded(name: str, anchor: str, build,
+             weight: BeurlingWeight | None = None) -> list[CheckRecord]:
+    """The records of ``build()`` (one record or a sequence of them), or,
+    when it raises ``NumericalError``, the one error record of check
+    ``name``, which names the ``weight`` of a per-weight check."""
+    try:
+        out = build()
+    except NumericalError as exc:
+        return [_error_record(name, anchor, exc,
+                              None if weight is None else weight.descriptor)]
+    return [out] if isinstance(out, CheckRecord) else list(out)
+
+
+def _operator_records(
+        pair: NlftPair, n_points: int | None, seed: int,
+        ratio_grid: int | CheckRecord | None = None) -> list[CheckRecord]:
+    """The LU and skew-adjointness records of a pair, each under the guard.
 
     The LU check is inapplicable when ``min |a| < LU_MIN_A`` on the
     grid.  Otherwise it runs on ``n_points`` or, when that is ``None``,
     on the fold grid of ``b/a*`` (``ratio_grid``, or ``_ratio_grid(pair)``
     when not given), raised to the smallest power of two above ``4 k``
-    (``_lu_window``).  Its numerical errors, and a
-    vanishing symbol, make error records.
+    (``_lu_window``).  A ``ratio_grid`` that is the error record of a
+    ``b/a*`` that could not be built is repeated as the LU record.
     """
-    min_a = float(np.min(np.abs(_eval_samples(pair.a,
-                                              n_points or _pair_grid(pair)))))
-    if min_a < LU_MIN_A:
-        lu = CheckRecord(
-            name="lu_factorization", anchor="lu_factorization_identity",
-            kind=INAPPLICABLE, lhs=min_a, rhs=LU_MIN_A, value=None,
-            passed=True, tolerance=None,
-            detail=f"min |a| = {min_a:.3f} below the {LU_MIN_A} floor",
-        )
-    else:
-        try:
-            _, k = _lu_window(pair)
-            lu = check_lu_factorization(pair, n_points or max(
-                ratio_grid or _ratio_grid(pair),
-                _power_of_two_at_least(4 * k + 1)), seed=seed)
-        except NumericalError as exc:
-            lu = _error_record("lu_factorization", "lu_factorization_identity",
-                               exc)
-    try:
-        anti = check_antisymmetry(pair, n_points=n_points, seed=seed)
-    except VanishingSymbolError as exc:
-        anti = _error_record("antisymmetry", "rh_antisymmetry", exc)
-    return [lu, anti]
+    def lu():
+        min_a = float(np.min(np.abs(_eval_samples(
+            pair.a, n_points or _pair_grid(pair)))))
+        if min_a < LU_MIN_A:
+            return CheckRecord(
+                name="lu_factorization", anchor="lu_factorization_identity",
+                kind=INAPPLICABLE, lhs=min_a, rhs=LU_MIN_A, value=None,
+                passed=True, tolerance=None,
+                detail=f"min |a| = {min_a:.3f} below the {LU_MIN_A} floor",
+            )
+        if n_points is None and isinstance(ratio_grid, CheckRecord):
+            return dataclasses.replace(ratio_grid, name="lu_factorization",
+                                       anchor="lu_factorization_identity")
+        _, k = _lu_window(pair)
+        return check_lu_factorization(pair, n_points or max(
+            ratio_grid or _ratio_grid(pair),
+            _power_of_two_at_least(4 * k + 1)), seed=seed)
+
+    return (_guarded("lu_factorization", "lu_factorization_identity", lu)
+            + _guarded("antisymmetry", "rh_antisymmetry",
+                       lambda: check_antisymmetry(pair, n_points=n_points,
+                                                  seed=seed)))
 
 
 def run_pair_checks(pair: NlftPair, n_points: int | None = None,
@@ -699,11 +687,13 @@ def run_pair_checks(pair: NlftPair, n_points: int | None = None,
 
     Used for externally supplied pairs, where determinant failure is the
     typical defect to surface.  ``metadata["grid"]`` is the grid of the
-    determinant check.
+    determinant check.  A check that raises ``NumericalError`` gives its
+    error record, which fails the report, and the other checks still run.
     """
     report = VerificationReport(
         metadata={"input": "pair", "grid": n_points or _pair_grid(pair)})
-    report.records.append(check_determinant(pair, n_points))
+    report.records += _guarded("determinant", "su2_determinant_identity",
+                               lambda: check_determinant(pair, n_points))
     report.records += _operator_records(pair, n_points, seed)
     return report
 
@@ -725,7 +715,11 @@ def run_suite(
     included) or the datum ``b`` (inverse direction first; the checks
     then run on the recovered sequence).  Hard-check failures and
     numerical errors flip the overall flag; monitored ratios never do.
-    ``metadata["grid"]`` is the grid of the determinant check, and of the
+    A check that raises ``NumericalError`` gives its error record (one
+    per weight for the per-weight checks) and the other checks still
+    run; only a failed inverse path ends the ``b`` suite early, as its
+    one ``inverse_path`` record.  ``metadata["grid"]`` is the grid of
+    the determinant check, and of the
     decay checks when ``n_points`` is given; the plancherel, LU and
     antisymmetry records name their own.  The round trips take no
     ``n_points``: their completion sizes its own grid, and stripping
@@ -734,8 +728,9 @@ def run_suite(
     ``b/a*`` is built once for the decay records and for
     ``report.decay_rows``, the rows of ``decay_table``; without
     ``n_points``, its fold grid is also the LU check's (raised to the
-    LU window floor).  The Baxter records read one ``b/a*`` of the
-    reflected pair, built for the first weight that applies.
+    LU window floor), and when it cannot be built the LU record repeats
+    the ``decay`` error record.  The Baxter records read one ``b/a*`` of
+    the reflected pair, built for the first weight that applies.
     """
     if (F is None) == (b is None):
         raise ValidationError("provide exactly one of F or b")
@@ -744,6 +739,7 @@ def run_suite(
             BeurlingWeight.polynomial(alpha) for alpha in WEIGHT_EXPONENTS
         ]
     report = VerificationReport()
+    records = report.records
     inverse_records = None
 
     if F is not None:
@@ -757,14 +753,15 @@ def run_suite(
                 None, solver_tol, szego_margin,
             )
         except NumericalError as exc:
-            report.records.append(
+            records.append(
                 _error_record("inverse_path", "round_trip_recovery", exc))
             report.metadata["input"] = "b"
             return report
         pair = nlft_forward(F, n_points)
-        report.records.append(_round_trip_record(
-            max_abs_difference(pair.b, b), round_trip_tol,
-            "reconstruction of b from the recovered sequence"))
+        err = max_abs_difference(pair.b, b)
+        records.append(_hard_record(
+            "round_trip", "round_trip_recovery", err, 0.0, err,
+            round_trip_tol, "reconstruction of b from the recovered sequence"))
 
     report.metadata = {
         "support": [F.support_lo, F.support_hi] if not F.is_empty else None,
@@ -774,40 +771,41 @@ def run_suite(
         "seed": seed,
     }
 
-    report.records.append(check_determinant(pair, n_points))
-    try:
-        report.records.append(check_plancherel(F, pair, n_points))
-    except NumericalError as exc:
-        report.records.append(
-            _error_record("plancherel", "szego_plancherel_identity", exc))
+    records += _guarded("determinant", "su2_determinant_identity",
+                        lambda: check_determinant(pair, n_points))
+    records += _guarded("plancherel", "szego_plancherel_identity",
+                        lambda: check_plancherel(F, pair, n_points))
     for w in weights:
-        report.records.append(check_sinh_bound(F, w, pair))
+        records += _guarded("sinh_bound", "sinh_norm_bound",
+                            lambda: check_sinh_bound(F, w, pair), w)
     ratio_grid = None
-    try:
+
+    def decay():
+        nonlocal ratio_grid
         ratio = _full_symbol_ratio(pair, n_points)
         ratio_grid = ratio.width + 1  # the ratio spans N - 1 indices
         report.decay_rows = _decay_rows(F, pair, ratio)
-        report.records += _decay_records(F, pair, ratio, SOBOLEV_ORDERS,
-                                         report.decay_rows)
-    except NumericalError as exc:
-        report.records.append(
-            _error_record("decay", "first_order_decay_bound", exc))
+        return _decay_records(F, pair, ratio, SOBOLEV_ORDERS,
+                              report.decay_rows)
+
+    decay_records = _guarded("decay", "first_order_decay_bound", decay)
+    records += decay_records
     reflected_ratio = functools.cache(
         lambda: _full_symbol_ratio(reflect_pair(pair), n_points))
     for w in weights:
-        report.records.append(_baxter_record(F, pair, w, reflected_ratio))
-    report.records += _operator_records(pair, n_points, seed, ratio_grid)
+        records += _guarded("quantitative_baxter", "quantitative_inverse_ratio",
+                            lambda: _baxter_record(F, pair, w, reflected_ratio),
+                            w)
+    # without b/a*, decay_records is its one error record
+    records += _operator_records(pair, n_points, seed,
+                                 ratio_grid or decay_records[0])
 
     if inverse_records is None:
-        try:
-            rt, contraction = check_round_trip(
-                F, pair, solver_tol=solver_tol, tol=round_trip_tol,
-                szego_margin=szego_margin)
-            report.records.append(rt)
-            report.records.append(contraction)
-        except NumericalError as exc:
-            report.records.append(
-                _error_record("round_trip", "round_trip_recovery", exc))
+        records += _guarded("round_trip", "round_trip_recovery",
+                            lambda: check_round_trip(
+                                F, pair, solver_tol=solver_tol,
+                                tol=round_trip_tol, szego_margin=szego_margin))
     else:
-        report.records.append(check_contraction(inverse_records))
+        records += _guarded("contraction", "rh_inverse_contraction",
+                            lambda: check_contraction(inverse_records))
     return report

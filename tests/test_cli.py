@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import functools
+import io
 import json
 import math
 import os
 import shlex
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -443,6 +447,25 @@ class TestVerify:
                                            rel=1e-15)
         assert rec["passed"] is False
 
+    def test_overflowing_weighted_norm_gives_error_records(self, tmp_path,
+                                                            capsys):
+        # ||F||_l1_w overflows for every weight; the sinh records become
+        # error records and the report is still written
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [0, 0], "coeffs": [[1.5e308, 1.5e308]]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--input", str(inp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "overall: FAIL" in err
+        sinh = [r for r in json.loads(out.read_text())["records"]
+                if r["name"] == "sinh_bound"]
+        assert [(r["kind"], r["weight"]) for r in sinh] == [
+            ("error", "one"), ("error", "poly:alpha=0.5"),
+            ("error", "poly:alpha=1"), ("error", "poly:alpha=2")]
+        assert all("beyond the double range" in r["detail"] for r in sinh)
+
     def test_decay_csv_needs_sequence(self, tmp_path):
         path, _ = write_pair(tmp_path / "pair.json", TWO_POINT)
         assert main(["verify", "--input", path,
@@ -819,3 +842,83 @@ class TestLoaderProperties:
         except NumericalError:
             return
         assert max_abs_difference(got, F) <= 1e-10
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# real and imaginary parts: 0, subnormal, tiny, moderate and up to the
+# largest double
+_parts = st.builds(
+    lambda modulus, sign: sign * modulus,
+    st.one_of(st.just(0.0), st.floats(5e-324, 2.2250738585072014e-308),
+              st.floats(1e-300, 1e-100), st.floats(0.0, 2.0),
+              st.floats(1e100, sys.float_info.max)),
+    st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def cli_cases(draw):
+    """A sequence, a window around its support and a ``--grid`` value."""
+    lo = draw(st.integers(-6, 6))
+    vals = draw(st.lists(st.builds(complex, _parts, _parts), max_size=6))
+    hi = lo + max(len(vals) - 1, 0)
+    window = (lo + draw(st.integers(-2, 2)), hi + draw(st.integers(-2, 2)))
+    grid = draw(st.sampled_from([None, 3, 4, 8, 16, 64, 1024]))
+    if not vals:
+        return CoefficientSequence.empty(), window, grid
+    return CoefficientSequence(lo, hi, np.asarray(vals)), window, grid
+
+
+class TestCliProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(cli_cases())
+    # the suite's weighted norms overflowed; |b|^2 overflowed in completion
+    @example((CoefficientSequence(0, 0, [1.5e308 + 1.5e308j]), (0, 0), None))
+    @example((CoefficientSequence(0, 0, [1.5e154j]), (0, 0), 16))
+    def test_every_exit_is_documented(self, case):
+        """Each subcommand exits 0, 1 or 2 without a traceback or warning;
+        on exit 0 its output is JSON, and an inverse round-trips."""
+        F, (lo, hi), grid = case
+        support = f"--support={lo}..{hi}"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = functools.partial(os.path.join, tmp)
+            with open(path("F.json"), "w", encoding="utf-8") as fh:
+                fh.write(sequence_to_json(F))
+            runs = [["forward", "--input", path("F.json")],
+                    ["norms", "--input", path("F.json")],
+                    ["verify", "--input", path("F.json")],
+                    ["inverse", "--b", path("F.json"), support],
+                    ["verify", "--b", path("F.json"), support]]
+            for i, argv in enumerate(runs):
+                out = path(f"out{i}.json")
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv + ["--out", out]
+                                + ([] if grid is None else ["--grid", str(grid)]))
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err.getvalue()
+                if code != 0:
+                    continue
+                with open(out, encoding="utf-8") as fh:
+                    json.loads(fh.read(), parse_constant=reject_constant)
+                if argv[0] == "forward":
+                    # the pair's own b and a, to invert and verify
+                    pair = load_pair(out)
+                    for name, part in (("a", pair.a), ("b", pair.b)):
+                        with open(path(f"{name}.json"), "w",
+                                  encoding="utf-8") as fh:
+                            fh.write(sequence_to_json(part))
+                    runs += [["verify", "--input", out],
+                             ["inverse", "--b", path("b.json"), support],
+                             ["inverse", "--b", path("b.json"),
+                              "--a", path("a.json"), support],
+                             ["verify", "--b", path("b.json"), support]]
+                elif argv[0] == "inverse":
+                    gap = max_abs_difference(nlft_forward(load_sequence(out)).b,
+                                             load_sequence(argv[2]))
+                    assert gap <= su2nlft.verify.ROUND_TRIP_TOL

@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ class TestWinding:
         with pytest.raises(GridSizeError):
             winding_number(CoefficientSequence.single(70, 1.0), 64)
 
+    @pytest.mark.parametrize("turn", [1j, -1j])
+    def test_samples_far_apart_in_size(self, turn):
+        # a zero near the contour puts samples 1e-300 and 1e300 side by
+        # side; their quotient overflowed
+        vals = np.array([1e-300, 1e300, 1e-300, 1e300]) * turn ** np.arange(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral._phase_count(vals) == (1 if turn == 1j else -1)
+
 
 class TestOuterComplement:
     def test_two_point_recovers_forward_a(self):
@@ -86,6 +96,18 @@ class TestOuterComplement:
     def test_near_unit_modulus_rejected(self):
         with pytest.raises(SzegoMarginError):
             outer_complement(seq({0: 0.9999995}))
+
+    @pytest.mark.parametrize("entries", [
+        {0: 1.5e154j},  # |b|^2 overflows on the grid
+        {0: 1.7e308, 1: 1.7e308},  # the samples of b overflow
+    ])
+    @pytest.mark.parametrize("n_points", [None, 16])
+    def test_coefficient_above_one_refused_before_sampling(self, entries,
+                                                           n_points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SzegoMarginError, match="max_k"):
+                outer_complement(seq(entries), n_points)
 
     def test_wide_random_instance(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -543,3 +544,89 @@ class TestRunPairChecks:
     def test_tampered_pair(self):
         report = run_pair_checks(tampered_pair())
         assert not report.overall_pass
+
+
+class TestGuardedRecords:
+    """A check's ``NumericalError`` becomes that check's error record, and
+    the other checks still run."""
+
+    def test_any_numerical_error_in_antisymmetry_is_an_error_record(
+            self, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise ConsistencyError("the system misses its own identity")
+
+        monkeypatch.setattr(su2nlft.verify, "check_antisymmetry", inconsistent)
+        report = run_pair_checks(TWO_POINT_PAIR)
+        assert [(r.name, r.kind) for r in report.records] == [
+            ("determinant", "hard"), ("lu_factorization", "hard"),
+            ("antisymmetry", "error")]
+        anti = report.records[-1]
+        assert anti.anchor == "rh_antisymmetry"
+        assert anti.detail == (
+            "ConsistencyError: the system misses its own identity")
+        assert not report.overall_pass
+
+    def test_baxter_error_records_name_their_weights(self, monkeypatch):
+        def overflowed(*args):
+            raise su2nlft.NumericalError("a weighted l1 norm overflows")
+
+        monkeypatch.setattr(su2nlft.verify, "_baxter_record", overflowed)
+        report = run_suite(F=TWO_POINT)
+        baxter = [r for r in report.records if r.name == "quantitative_baxter"]
+        assert [(r.kind, r.weight) for r in baxter] == [
+            ("error", "one"), ("error", "poly:alpha=0.5"),
+            ("error", "poly:alpha=1"), ("error", "poly:alpha=2")]
+        assert report.records[-1].name == "contraction"
+
+    def test_failed_ratio_is_resolved_once(self, monkeypatch):
+        # b/a* folds on every grid up to 2^18; the LU record repeats the
+        # decay record's failure instead of doubling the grid again
+        calls = []
+        samples = su2nlft.spectral._symbol_samples
+
+        def spy(pair, n_points, start):
+            calls.append(n_points)
+            return samples(pair, n_points, start)
+
+        monkeypatch.setattr(su2nlft.spectral, "_symbol_samples", spy)
+        report = run_suite(F=seq({0: 1e200, 1: 0.5}))
+        assert calls == [None]
+        records = {r.name: r for r in report.records}
+        detail = ("ConsistencyError: coefficients of b/a* folded by the grid: "
+                  "error 2.000e+00 > 1.0e-13 on 262144 points, the largest "
+                  "grid allowed")
+        assert records["decay"].detail == detail
+        lu = records["lu_factorization"]
+        assert (lu.kind, lu.anchor, lu.detail) == (
+            "error", "lu_factorization_identity", detail)
+
+    def test_a_nan_value_fails_a_hard_record(self):
+        rec = su2nlft.verify._hard_record("x", "x_identity", 0.0, 0.0,
+                                          math.nan, 1.0)
+        assert rec.kind == "hard" and rec.passed is False
+
+
+class TestDecayBeyondTheDoubleRange:
+    """Decay terms past the largest double raise ``NumericalError``, which
+    the suite records as its ``decay`` error record."""
+
+    def test_entry_beyond_the_double_range(self):
+        # |F_1| overflows; abs() of it raised OverflowError
+        F = seq({0: 0.1, 1: 1.5e308 + 1.5e308j})
+        with pytest.raises(su2nlft.NumericalError, match=r"\|F_n\|"):
+            decay_table(F, nlft_forward(F, 16), 16)
+
+    @pytest.mark.parametrize("entries", [
+        {-3: 1e308, -2: 1e100},  # |F_-3| 3^s overflows
+        {0: 1e200, 1: 1e200},  # a*(0) underflows to 0
+    ])
+    def test_fractional_ratio_beyond_the_double_range(self, entries):
+        F = seq(entries)
+        pair = nlft_forward(F, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(su2nlft.NumericalError, match="order-1"):
+                check_decay_fractional(F, pair, 1.0, 16)
+            report = run_suite(F=F, n_points=16)
+        decay = [r for r in report.records if r.name.startswith("decay")]
+        assert [(r.name, r.kind) for r in decay] == [("decay", "error")]
