@@ -41,11 +41,13 @@ from .verify import (ROUND_TRIP_TOL, SOBOLEV_ORDERS, WEIGHT_EXPONENTS,
 PAIR_VALIDATION_TOL = 1e-6
 # size caps, checked before anything is allocated: a grid holds a few
 # complex arrays of MAX_GRID_SIZE points (64 MiB each); stripping a
-# window [lo, hi] takes time quadratic in hi - lo(b) + 1, which
-# MAX_WINDOW_WIDTH also caps (about 0.3-0.5 s for a centred window of
-# that width, start-up included, on one core of a shared 2-vCPU VM)
+# window [lo, hi] takes O(N log^3 N) time in N = hi - lo(b) + 1, which
+# MAX_WINDOW_WIDTH also caps.  Median s of a centred-window inverse,
+# start-up and completion included, 5 rounds on one core of a shared
+# 2-vCPU VM: width 8192 0.27, 16384 0.44, 32768 0.68, against 0.29 for
+# width 4096 when stripping was quadratic
 MAX_GRID_SIZE = 1 << 22
-MAX_WINDOW_WIDTH = 1 << 12
+MAX_WINDOW_WIDTH = 1 << 13
 
 __all__ = [
     "Config",
@@ -368,7 +370,8 @@ def cmd_forward(args, cfg: Config) -> int:
 
 def _write_convergence_csv(path: str, records) -> None:
     # the records come from layer stripping, so solver_residual is the gap
-    # of the pivot identity (see layer_strip_detailed), not ||B - T A||
+    # of its leaf's pivot identity (see layer_strip_detailed), not
+    # ||B - T A||
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "solver_residual", "solution_norm", "rhs_norm"])
@@ -378,8 +381,9 @@ def _write_convergence_csv(path: str, records) -> None:
 
 
 def _require_pass_length(b: CoefficientSequence, hi: int) -> None:
-    """Reject a strip up to ``hi`` whose Schur pass, over ``[lo(b), hi]``,
-    is longer than ``MAX_WINDOW_WIDTH``."""
+    """Reject a strip up to ``hi`` whose pass, over ``[lo(b), hi]``, is
+    longer than ``MAX_WINDOW_WIDTH``; it costs O(N log^3 N) in that
+    length ``N`` (``inverse.layer_strip_detailed``)."""
     length = hi - (0 if b.is_empty else b.support_lo) + 1
     if length > MAX_WINDOW_WIDTH:
         raise ValidationError(

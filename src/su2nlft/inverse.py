@@ -36,7 +36,14 @@ rotation to ``(L_kk, 0)``, ``L_kk = hypot(alpha, beta)``.  The rotated
 first generator is column ``k`` of ``L`` and moves one row down for the
 next step; the second drops its leading zero.  One step of
 column-oriented forward substitution per column streams ``y``.  The
-pass takes O(N^2) time and O(N) memory and forms no N x N array.
+three rows (two generators and the substituted ``b``) are held as
+``(N, 3)`` complex arrays, so a step is one product of its remaining
+rows, viewed as an ``(N - k, 6)`` real array, with the 3x3 complex step
+written as a 6x6 real matrix.  The step writes the first generator
+last in each row, and the next step reads its rows two entries later,
+so each row holds the first generator of the row above: the one-row
+shift costs no copy.  A pass takes O(N^2) time and O(N) memory and
+forms no N x N array.
 
 With ``j = n - lo``, ``B_j = y_j / L_jj`` is the last entry of
 ``B = L^{-H} y``, the pivot is ``L_jj = 1 / a_n*(0)``, and
@@ -73,6 +80,17 @@ of ``K'`` and ``L'^{-1} b``.  ``T_{a*}`` has diagonal
 hypothesis of stripping, ``a*`` outer (no zeros in the closed disk),
 implies.  ``rh_solve`` and ``apply_m`` still sample ``b/a*`` on a grid
 (``RhSystem``), and serve as the reference stripping is tested against.
+
+One pass is a leaf of at most ``_LEAF`` coefficients.  A longer pass
+goes by halves (``_strip_pass``): the first ``m = N // 2`` layers
+depend only on the first ``m`` coefficients of ``a*`` and ``b``, and
+their transform peels off ``(a*, b)`` exactly by four FFT products,
+leaving the generators of the right half.  Rebuilding the left half's
+transform costs O(N log^2 N) (``forward``), so a strip of ``N``
+coefficients takes O(N log^3 N) time plus O(N _LEAF) in its leaves.
+Each leaf checks its own pivot identity; a strip of more than one leaf
+has no pivot identity across leaves and is checked by the backward
+error of its forward transform instead (``_backward_error``).
 """
 
 from __future__ import annotations
@@ -102,7 +120,7 @@ from .errors import (
     GridSizeError,
     ValidationError,
 )
-from .forward import CLAMP_TOL, nlft_forward
+from .forward import CLAMP_TOL, _normalized, _product_arrays, nlft_forward
 from .spectral import (DEFAULT_SZEGO_MARGIN, _b_lo, _ratio_grid,
                        _symbol_samples, grid_quotient, outer_complement,
                        require_outer)
@@ -127,6 +145,26 @@ __all__ = [
 DEFAULT_SOLVER_TOL = 1e-12
 CONTRACTION_SLACK = 1e-12  # roundoff allowed above ||x|| <= ||(1, 0)||
 IMAG_TOL = 1e-10  # allowed imaginary leakage in the leading solution entry
+# Longest pass stripped as one Schur leaf; longer passes go by halves.
+# A leaf does O(_LEAF) vectorized steps per coefficient and each level of
+# halves one forward transform, so the leaf is as wide as the O(N^2)
+# kernel stays cheaper than a level.  Median ms of _strip_outer on the law
+# (F on [0, K - 1] with entries 0.3 (N(0,1) + i N(0,1)) / sqrt(K)), gate
+# included, 7 interleaved rounds on one core of a shared 2-vCPU VM:
+#
+#   K           256   1024   4096   16384   65536
+#   leaf 64    2.53   8.75   41.1   164.8   797.9
+#   leaf 128   1.74   6.96   29.6   137.7   716.3
+#   leaf 256   0.98   6.28   25.7   122.9   648.3
+#   leaf 512   0.99   6.83   25.5   116.9   563.6
+#   leaf 1024  0.97   5.02   26.0   128.2   581.6
+#
+# From 256 up the leaves are within the run-to-run spread of each other
+# (a repeat read 572 ms at 65536 for 256, 575 for 512); 256 is the
+# smallest of them, and smaller leaves strip ill-conditioned draws more
+# accurately (the law scaled by 7 at K = 1024, drawn with seed 1: off by
+# 1.9e-6 with leaf 256, 3.1e-5 with 512, 2.3e-3 in one pass).
+_LEAF = 256
 
 
 @dataclass(eq=False)
@@ -341,31 +379,112 @@ def _schur_pass(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``L'^{-1} b``, by the generalized Schur algorithm on the generators
     ``g = (a*, b)``, a ``(2, m)`` array (see the module docstring)."""
     size = g.shape[-1]
-    # before step k, A[:, k:] holds rows k.. of the two generators and
-    # of b minus the columns of L' substituted so far; B takes the step
-    A = np.empty((3, size), dtype=np.complex128)
-    A[:2] = g
-    A[2] = g[1]
-    B = np.empty_like(A)
-    step = np.eye(3, dtype=np.complex128)
+    # before step k, rows k.. of the two generators and of b minus the
+    # columns of L' substituted so far are rows_a, read from offset 2 of
+    # one buffer; the step writes them, as (g1, r, g0), from offset 0 of
+    # the other.  Read from offset 2 again, each row pairs g1 and r with
+    # the g0 of the row above: row 0 moves one row down, rows 1-2 drop
+    # their leading zeros, and nothing is copied
+    buf = np.empty((2, 3 * size + 2), dtype=np.complex128)
+    buf[0, 2::3], buf[0, 3::3], buf[0, 4::3] = g[0], g[1], g[1]
+    rows_a, rows_b = buf[:, 2:].reshape(2, size, 3)
+    in_a, in_b = rows_a.view(np.float64), rows_b.view(np.float64)
+    out_a, out_b = buf[:, :-2].view(np.float64).reshape(2, size, 6)
+    # the 3x3 complex step S, columns in that output order, as a 6x6
+    # real matrix acting on the right of a row: its complex view has
+    # t = S^T in the even rows and i t in the odd ones.  The last row of
+    # S^T only carries r over, so rows 4-5 are fixed and each step fills
+    # rows 0-3, flattened to 12 entries
+    step = np.zeros((6, 6))
+    t = step.view(np.complex128)
+    t[4:] = (0.0, 1.0, 0.0), (0.0, 1j, 0.0)
+    top = t[:4].reshape(12)
     pivots, y = [], []
     for k in range(size):
-        alpha, beta, rest = A[:, k].tolist()
+        alpha, beta, rest = rows_a[0].tolist()
         pivot = math.hypot(abs(alpha), abs(beta))
+        yk = rest / pivot
         pivots.append(pivot)
-        y.append(rest / pivot)
+        y.append(yk)
         # rows 0-1 rotate (alpha, beta) to (pivot, 0); the rotated first
         # generator is column k of L', which row 2 substitutes
         u, v = alpha / pivot, beta / pivot
-        step[0, 0], step[0, 1] = u.conjugate(), v.conjugate()
-        step[1, 0], step[1, 1] = -v, u
-        step[2, 0], step[2, 1] = -y[k] * u.conjugate(), -y[k] * v.conjugate()
-        np.matmul(step, A[:, k:], out=B[:, k:])
-        # row 0 moves one row down; rows 1-2 drop their leading zeros
-        # by starting at k + 1 next step
-        B[0, k + 1:] = B[0, k:-1]
-        A, B = B, A
+        cu, cv = u.conjugate(), v.conjugate()
+        ycu, ycv = yk * cu, yk * cv
+        top[:] = [-v, -ycu, cu, -1j * v, -1j * ycu, 1j * cu,
+                  u, -ycv, cv, 1j * u, -1j * ycv, 1j * cv]
+        np.dot(in_a[:size - k], step, out=out_b[:size - k])
+        rows_a, rows_b, in_a, in_b, out_a, out_b = \
+            rows_b, rows_a, in_b, in_a, out_b, out_a
     return np.array(pivots), np.array(y, dtype=np.complex128)
+
+
+def _strip_pass(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(F, a_n*(0), gap)`` at each index of the generators
+    ``g = (a*, b)``, a ``(2, n)`` array on ``[0, n - 1]``.
+
+    Up to ``_LEAF`` coefficients this is one ``_schur_pass``, mapped
+    back from ``K'`` to ``I + T T^H``, with the gap of the pivot
+    identity.  Longer passes go by halves: the first ``m = n // 2``
+    coefficients strip to ``F_L``, whose pair ``(a_L*, b_L)`` peels off
+    exactly, since ``G = G_L G_R`` gives
+
+        a_R* = a_L a* + b_L* b,      z^m b_R = a_L* b - b_L a*,
+
+    and the leading ``n - m`` coefficients of each need only the leading
+    ``n`` of ``a*`` and ``b`` (cyclic products on ``n`` points hold
+    them).  The right half strips from ``(a_R*, b_R)``; its ``a_n*(0)``
+    are its own times ``a_L*(0)``, and its gaps stay its leaf's own.
+    """
+    n = g.shape[1]
+    if n <= _LEAF:
+        pivots, y = _schur_pass(g)
+        # back from K' to I + T T^H: L_jj = L'_jj / |a*(0)| and
+        # y = e^{-i arg a*(0)} L'^{-1} b
+        a0 = g[0, :1]
+        pivots /= np.abs(a0)
+        y *= np.conj(a0) / np.abs(a0)
+        # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
+        gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
+        return y * pivots, 1.0 / pivots, gaps
+    m = n // 2
+    F_L, a0_L, gaps_L = _strip_pass(g[:, :m])
+    a_L, b_L = np.fft.fft(_product_arrays(*_normalized(F_L)), n)
+    a, b = np.fft.fft(g, n)
+    right = np.fft.ifft([np.conj(a_L) * a + np.conj(b_L) * b,
+                         a_L * b - b_L * a])
+    F_R, a0_R, gaps_R = _strip_pass(np.stack([right[0, :n - m],
+                                              right[1, m:]]))
+    return (np.concatenate([F_L, F_R]), np.concatenate([a0_L, a0_L[-1] * a0_R]),
+            np.concatenate([gaps_L, gaps_R]))
+
+
+def _backward_error(F: np.ndarray, pair: NlftPair) -> float:
+    """How far the transform of ``F``, the potential stripped on
+    ``[lo(b), lo(b) + m - 1]``, is from being a left factor of ``pair``.
+
+    With ``G_F`` the transform of ``F`` and ``G`` that of the pair, the
+    rest ``G_F^{-1} G = (a_R, b_R)`` is the transform of the potential on
+    ``[lo(b) + m, hi(b)]``: ``b_R`` lives there and ``a_R*`` has degree
+    at most ``hi(b) - lo(b) - m``, or 0 once the pass reaches ``hi(b)``
+    and the rest is the identity.  The error is the largest coefficient
+    of ``b_R`` and ``a_R*`` outside those supports; a NaN stays NaN.
+    When the pass covers ``b`` it is the size of ``G_F^{-1} (G - G_F)``,
+    which has the norm of ``G - G_F`` on the circle: the backward error
+    of the forward transform against the pair.
+    """
+    m, d = F.size, pair.b.width - 1
+    t = max(m, d + 1, pair.a.width)
+    b_lo = _b_lo(pair)
+    a, b = np.fft.fft([
+        _embed(star_reflect(pair.a).restrict(0, t - 1), 0, t - 1),
+        _embed(pair.b, b_lo, b_lo + t - 1)], m + t)
+    a_F, b_F = np.fft.fft(_product_arrays(*_normalized(F)), m + t)
+    b_R = np.abs(np.fft.ifft(a_F * b - b_F * a))
+    # a_R* = a_F a* + b_F* b; its negative powers wrap to the end
+    a_R = np.abs(np.fft.ifft(np.conj(a_F) * a + np.conj(b_F) * b))
+    return float(np.max(np.concatenate(
+        [b_R[:m], b_R[d + 1:], a_R[max(d - m, 0) + 1:]])))
 
 
 def rh_solve(sys: RhSystem, tol: float = DEFAULT_SOLVER_TOL) -> RhSolution:
@@ -410,24 +529,35 @@ def layer_strip_detailed(
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """Recover ``F`` on a window together with the per-index solve records.
 
-    One generalized Schur pass over the leading ``hi - lo(b) + 1``
-    coefficients of ``a*`` and of ``b`` (see the module docstring) strips
-    every index of the window ``[lo, hi]``, negative ones included:
-    ``F_n = y_j L_jj`` with ``j = n - lo(b)``.  No grid is sampled; the
+    One strip of the leading ``hi - lo(b) + 1`` coefficients of ``a*``
+    and of ``b`` (see the module docstring) recovers every index of the
+    window ``[lo, hi]``, negative ones included: ``F_n = y_j L_jj`` with
+    ``j = n - lo(b)``, by one generalized Schur pass up to ``_LEAF``
+    coefficients and by halves beyond.  No grid is sampled; the
     hypothesis that makes the truncated system exact is checked first,
     and an ``a*`` that is not outer raises ``OuternessError``
     (``spectral.require_outer``).  Entries with
     ``|F_n| < tol`` are reported as zero.  The records come in ascending
     ``n``; the record at ``n`` is the truncation to ``(F_k)_{k <= n}``.
 
-    A record's ``a_star_zero`` and ``solution_norm`` are ``1 / L_jj``,
-    so a pivot below 1, which ``I + T T^H >= I`` rules out, fails
-    ``check_contraction``.  Its ``residual`` is the gap
-    ``|1 - sum_{i <= j} |y_i|^2 - 1 / L_jj^2|`` of the pivot identity:
-    zero in exact arithmetic, it compares ``a_n*(0)^2`` from the forward
-    substitution with ``a_n*(0)^2`` from the pivots of the rotations.
-    It is not the system residual that ``rh_solve`` reports.  Raises
-    ``ConvergenceError`` if a gap exceeds ``tol`` (a NaN fails too).
+    A record's ``a_star_zero`` and ``solution_norm`` are ``a_n*(0)``,
+    ``1 / L_jj`` in one leaf and, past the first leaf, the product of the
+    left halves' ``a*(0)`` and the leaf's own, so a value above 1, which
+    ``I + T T^H >= I`` rules out, fails ``check_contraction``.  Its
+    ``residual`` is the gap ``|1 - sum_{i <= j} |y_i|^2 - 1 / L_jj^2|``
+    of the pivot identity of its leaf, with ``i`` and ``j`` counted from
+    the leaf's first index: zero in exact arithmetic, it compares the
+    leaf's ``a_n*(0)^2`` from the forward substitution with the same
+    from the pivots of the rotations.  It is not the system residual
+    that ``rh_solve`` reports.  A strip of one leaf raises
+    ``ConvergenceError`` if a gap at an index of the window exceeds
+    ``tol``; a longer one raises it if the backward error of its forward
+    transform against ``pair`` (``_backward_error``) does.  A NaN fails
+    either gate.  For a window that ends below ``hi(b)`` the backward
+    error reads only how the stripped part fits the rest of the pair, a
+    weaker gate: on the law scaled by 7 at width 1,024 (see
+    ``tests/test_inverse.py``) the first half strips to within 1.3e-8 of
+    ``F`` with a backward error of 1.2e-13.
     The fields ``a``, ``b``, ``tilde_a_star`` and ``tilde_b`` are the
     forward transform of the stripped potential on ``[lo(b), n]``,
     computed when first read; reading them solves no system.
@@ -448,35 +578,34 @@ def _strip_outer(
     pair: NlftPair, lo: int, hi: int, tol: float
 ) -> tuple[CoefficientSequence, list[RhSolution]]:
     """``layer_strip_detailed`` on ``[lo, hi]`` for a pair whose ``a*``
-    its caller has certified outer: one ``_schur_pass`` on ``a*`` and
-    ``b`` cut or padded to ``[0, hi - lo(b)]`` and ``[lo(b), hi]``."""
+    its caller has certified outer: ``_strip_pass`` on ``a*`` and ``b``
+    cut or padded to ``[0, hi - lo(b)]`` and ``[lo(b), hi]``."""
     b_lo = _b_lo(pair)
     m = max(hi - b_lo + 1, 0)
     g = np.zeros((2, m), dtype=np.complex128)
     g[0] = _embed(star_reflect(pair.a).restrict(0, m - 1), 0, m - 1)
     g[1, :min(m, pair.b.width)] = pair.b.coeffs[:m]
-    pivots, y = _schur_pass(g)
-    # back from K' to I + T T^H: L_jj = L'_jj / |a*(0)| and
-    # y = e^{-i arg a*(0)} L'^{-1} b, where a*(0) = conj(a(0))
-    a0 = pair.a.coefficient(0)
-    pivots /= abs(a0)
-    y *= a0 / abs(a0)
-    # a_n*(0)^2 two ways: 1 - sum_{i <= j} |y_i|^2 and 1 / L_jj^2
-    gaps = np.abs(1.0 - np.cumsum(np.abs(y) ** 2) - 1.0 / pivots ** 2)
+    potential, a_star_zero, gaps = _strip_pass(g)
     # indices below b hold the trivial solution x = (1, 0)
     start = min(max(lo, b_lo), hi + 1)
-    failed = np.flatnonzero(~(gaps[start - b_lo:] <= tol))  # NaN fails
-    if failed.size:
-        j = start - b_lo + int(failed[0])
-        raise ConvergenceError(
-            f"pivot identity misses by {gaps[j]:.3e} > {tol:.1e} "
-            f"at truncation {j + b_lo}"
-        )
-    potential = y * pivots
+    if m > _LEAF:
+        miss = _backward_error(potential, pair)
+        if not miss <= tol:  # NaN fails
+            raise ConvergenceError(
+                f"backward error {miss:.3e} > {tol:.1e} over the pass "
+                f"[{b_lo}, {hi}]")
+    else:
+        failed = np.flatnonzero(~(gaps[start - b_lo:] <= tol))  # NaN fails
+        if failed.size:
+            j = start - b_lo + int(failed[0])
+            raise ConvergenceError(
+                f"pivot identity misses by {gaps[j]:.3e} > {tol:.1e} "
+                f"at truncation {j + b_lo}"
+            )
     arr = np.zeros(hi - lo + 1, dtype=np.complex128)
     arr[start - lo:] = potential[start - b_lo:]
     arr[np.abs(arr) < tol] = 0.0
-    a_star_zero, residual = (1.0 / pivots).tolist(), gaps.tolist()
+    a_star_zero, residual = a_star_zero.tolist(), gaps.tolist()
     records: list[RhSolution] = [
         _StripRecord(n, 1.0, 0.0, potential, b_lo) for n in range(lo, start)]
     records += [_StripRecord(n, a_star_zero[n - b_lo], residual[n - b_lo],

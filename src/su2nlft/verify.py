@@ -244,7 +244,12 @@ def check_plancherel(F: CoefficientSequence, pair: NlftPair,
     with np.errstate(over="ignore"):  # an |F| past the range reads inf
         mag = np.abs(F.coeffs)
     big = mag > 1.0
-    lhs = 2.0 * float(np.sum(np.log(mag[big])))
+    logs = np.log(mag[big])
+    over = np.isinf(logs)  # there log|F| = log s + log|F / s|
+    f = F.coeffs[big][over]
+    s = np.maximum(np.abs(f.real), np.abs(f.imag))
+    logs[over] = np.log(s) + np.log(np.abs(f / s))
+    lhs = 2.0 * float(np.sum(logs))
     mag[big] = 1.0 / mag[big]
     lhs += float(np.sum(np.log1p(mag ** 2)))
     mean = functools.cache(functools.partial(_shifted_log_gap_mean, pair.b))
@@ -397,7 +402,8 @@ def check_quantitative_baxter(F: CoefficientSequence, pair: NlftPair,
     Applicable only when ``||b||_{A_w} < 1/sqrt(2) - eps``, ``eps`` half
     the available margin.  ``b/a`` is read reversed, as the ``b/a*`` of
     ``reflect_pair(pair)``; a symmetric weight gives the same norm.
-    Without ``n_points`` the grid doubles until it stops folding.
+    Without ``n_points`` the grid doubles until it stops folding.  A
+    ratio past the double range raises ``NumericalError``.
     """
     return _baxter_record(F, pair, w, lambda: _full_symbol_ratio(
         reflect_pair(pair), n_points))
@@ -418,13 +424,17 @@ def _baxter_record(F: CoefficientSequence, pair: NlftPair, w: BeurlingWeight,
             detail="||b||_Aw not below 1/sqrt(2) - eps")
     lhs = weighted_l1_norm(F, w) * epsilon
     quot_norm = 0.0 if F.is_empty else weighted_l1_norm(reflected_ratio(), w)
+    value = lhs / quot_norm if quot_norm else 0.0
+    if not math.isfinite(value):
+        raise NumericalError(f"Baxter ratio {lhs:.3e} / {quot_norm:.3e} "
+                             "is beyond the double range")
     return CheckRecord(
         name="quantitative_baxter",
         anchor="quantitative_inverse_ratio",
         kind=MONITORED,
         lhs=lhs,
         rhs=quot_norm,
-        value=lhs / quot_norm if quot_norm else 0.0,
+        value=value,
         passed=True,
         tolerance=None,
         weight=w.descriptor,
@@ -597,11 +607,14 @@ def check_round_trip(F: CoefficientSequence, pair: NlftPair,
                      szego_margin: float = DEFAULT_SZEGO_MARGIN):
     """Invert the forward output and compare; also yields the contraction
     record.  The completion of ``pair.b`` sizes its own grid, and
-    stripping needs none."""
+    stripping needs none.  A residual that is not finite raises
+    ``NumericalError``."""
     window = (F.support_lo, F.support_hi) if not F.is_empty else (0, 0)
     _, recovered, records = _complete_and_strip(
         pair.b, window, None, solver_tol, szego_margin)
     err = max_abs_difference(recovered, F)
+    if not math.isfinite(err):
+        raise NumericalError(f"round-trip residual {err} is not finite")
     return (_hard_record("round_trip", "round_trip_recovery", err, 0.0, err,
                          tol, f"window=[{window[0]},{window[1]}]"),
             check_contraction(records))

@@ -466,6 +466,33 @@ class TestVerify:
             ("error", "poly:alpha=1"), ("error", "poly:alpha=2")]
         assert all("beyond the double range" in r["detail"] for r in sinh)
 
+    def test_entry_past_the_double_range_writes_strict_json(self, tmp_path,
+                                                             capsys):
+        # |F_-1| overflows np.abs: plancherel reads log|F| from the larger
+        # part, and the infinite round-trip residual is an error record
+        inp = tmp_path / "f.json"
+        inp.write_text('{"support": [-2, 1], "coeffs": [[0.1, 0], '
+                       '[1.7e308, 1.7e308], [0.2, 0.1], [0.3, 0]]}')
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--input", str(inp), "--grid", "16",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "overall: FAIL" in err
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        records = {r["name"]: r for r in json.loads(
+            out.read_text(), parse_constant=reject)["records"]}
+        plancherel = records["plancherel"]
+        assert plancherel["lhs"] == pytest.approx(
+            2 * (np.log(1.7e308) + 0.5 * np.log(2.0)), rel=1e-3)
+        assert plancherel["passed"] is False
+        assert records["round_trip"]["kind"] == "error"
+        assert "not finite" in records["round_trip"]["detail"]
+
     def test_decay_csv_needs_sequence(self, tmp_path):
         path, _ = write_pair(tmp_path / "pair.json", TWO_POINT)
         assert main(["verify", "--input", path,

@@ -723,3 +723,139 @@ class TestGridFreeStripping:
                                        n_points=1024)
         assert grids == [1024]
         assert max_abs_difference(got, F) <= 1e-10
+
+
+def complex_step_pass(g):
+    """The Schur pass as one complex 3x3 step per column, the reference
+    the real-arithmetic kernel is checked against."""
+    size = g.shape[-1]
+    A = np.empty((3, size), dtype=np.complex128)
+    A[:2] = g
+    A[2] = g[1]
+    B = np.empty_like(A)
+    step = np.eye(3, dtype=np.complex128)
+    pivots, y = [], []
+    for k in range(size):
+        alpha, beta, rest = A[:, k].tolist()
+        pivot = np.hypot(abs(alpha), abs(beta))
+        pivots.append(pivot)
+        y.append(rest / pivot)
+        u, v = alpha / pivot, beta / pivot
+        step[0, 0], step[0, 1] = u.conjugate(), v.conjugate()
+        step[1, 0], step[1, 1] = -v, u
+        step[2, 0], step[2, 1] = -y[k] * u.conjugate(), -y[k] * v.conjugate()
+        np.matmul(step, A[:, k:], out=B[:, k:])
+        B[0, k + 1:] = B[0, k:-1]
+        A, B = B, A
+    return np.array(pivots), np.array(y, dtype=np.complex128)
+
+
+def law(K, s=1.0, seed=0):
+    """``F`` on ``[0, K - 1]`` with entries ``0.3 s (N(0,1) + i N(0,1)) /
+    sqrt(K)``: the law of the stripping timings, scaled by ``s``."""
+    rng = np.random.default_rng(seed)
+    return CoefficientSequence(0, K - 1, 0.3 * s * (
+        rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.sqrt(K))
+
+
+def generators(pair, K):
+    return np.stack([star_reflect(pair.a).coeffs[:K], pair.b.coeffs[:K]])
+
+
+class TestStripByHalves:
+    @pytest.mark.parametrize("width", [1, 2, 127, 128, 129, 1024])
+    def test_real_step_matches_the_complex_step(self, width):
+        g = generators(nlft_forward(law(width)), width)
+        pivots, y = su2nlft.inverse._schur_pass(g)
+        ref_pivots, ref_y = complex_step_pass(g)
+        assert np.max(np.abs(pivots - ref_pivots)) <= 1e-13
+        assert np.max(np.abs(y - ref_y)) <= 1e-13
+
+    @pytest.mark.parametrize("K", [2**10, 2**12, 2**14])
+    def test_halves_match_one_full_width_leaf(self, K, monkeypatch):
+        pair = nlft_forward(law(K))
+        halves = layer_strip(pair, (0, K - 1))
+        monkeypatch.setattr(su2nlft.inverse, "_LEAF", K)
+        leaf = layer_strip(pair, (0, K - 1))
+        assert max_abs_difference(halves, leaf) <= 1e-12
+
+    @pytest.mark.parametrize("K, s", [(1024, 1), (1024, 5), (1024, 6),
+                                      (1024, 7), (1024, 8), (4096, 6)])
+    def test_halves_on_the_scaled_law(self, K, s, monkeypatch):
+        # from s = 5 on a* is not outer, so the strips run past the
+        # winding check; the ratio's leading coefficients still fix F
+        F = law(K, s, seed=1)
+        pair = nlft_forward(F)
+        strip = su2nlft.inverse._strip_outer
+        tol = su2nlft.inverse.DEFAULT_SOLVER_TOL
+        # the backward error: the forward transform of the ungated
+        # halves F against the pair, coefficient by coefficient
+        g = generators(pair, K)
+        got, _, _ = su2nlft.inverse._strip_pass(g)
+        back = nlft_forward(CoefficientSequence(0, K - 1, got))
+        backward = max(max_abs_difference(back.a, pair.a),
+                       max_abs_difference(back.b, pair.b))
+        try:
+            halves = max_abs_difference(strip(pair, 0, K - 1, tol)[0], F)
+        except ConvergenceError:
+            halves = None
+        monkeypatch.setattr(su2nlft.inverse, "_LEAF", K)
+        try:
+            single = max_abs_difference(strip(pair, 0, K - 1, tol)[0], F)
+        except ConvergenceError:
+            single = None
+        if backward > tol:
+            assert halves is None
+        if single is not None:  # not less accurate, up to rounding
+            assert halves is not None and halves <= max(single, 1e-15)
+        assert (halves is None) == (s >= 6)
+
+    def test_window_below_the_top_reads_the_rest_of_the_pair(self):
+        # the gate of a window below hi(b) sees only how the strip fits
+        # the rest of the pair: at s = 7 it may pass a strip off by ~1e-8
+        tol = su2nlft.inverse.DEFAULT_SOLVER_TOL
+        for s in (7, 8):
+            F = law(1024, s, seed=1)
+            pair = nlft_forward(F)
+            try:
+                got, _ = su2nlft.inverse._strip_outer(pair, 0, 511, tol)
+            except ConvergenceError as exc:
+                assert "backward error" in str(exc)
+                continue
+            assert s == 7
+            assert max_abs_difference(got, F.restrict(0, 511)) <= 1e-7
+
+    def test_width_65536_strips(self):
+        F = law(2**16)
+        got = layer_strip(nlft_forward(F), (0, 2**16 - 1))
+        assert max_abs_difference(got, F) <= 1e-12
+
+    def test_records_across_leaves(self):
+        # negative indices, and a window past hi(b) padded with zeros
+        F = random_instance(7, -300, 200)
+        got, records = layer_strip_detailed(nlft_forward(F), (-350, 500))
+        assert max_abs_difference(got, F) <= 1e-12
+        assert [r.n for r in records] == list(range(-350, 501))
+        for rec in records[50::97]:
+            want = su2nlft.a_star_at_zero(F.restrict(-300, rec.n))
+            assert abs(rec.a_star_zero - want) <= 1e-12
+            assert rec.residual <= 1e-12
+            assert max_abs_difference(rec.b, nlft_forward(
+                F.restrict(-300, rec.n)).b) <= 1e-12
+
+    def test_backward_gate_raises(self):
+        pair = nlft_forward(random_instance(3, 0, 599))
+        with pytest.raises(ConvergenceError, match="backward error"):
+            layer_strip(pair, (0, 599), tol=1e-30)
+
+    def test_non_finite_leaf_fails_the_backward_gate(self, monkeypatch):
+        schur = su2nlft.inverse._schur_pass
+
+        def nan_pass(g):
+            return schur(np.full_like(g, np.nan))
+
+        monkeypatch.setattr(su2nlft.inverse, "_schur_pass", nan_pass)
+        pair = nlft_forward(random_instance(3, 0, 599))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="backward error"):
+            layer_strip(pair, (0, 599))

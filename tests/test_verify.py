@@ -578,6 +578,33 @@ class TestGuardedRecords:
             ("error", "poly:alpha=1"), ("error", "poly:alpha=2")]
         assert report.records[-1].name == "contraction"
 
+    def test_baxter_ratio_past_the_double_range_is_an_error_record(self):
+        # ||F||_l1 eps / ||b/a||_A overflows for a tiny quotient norm
+        F = CoefficientSequence(0, 1, np.array([1e307, 1e307]))
+        pair = nlft_forward(seq({0: 0.1}))  # ||b||_A below 1/sqrt(2)
+        tiny = CoefficientSequence.single(0, 1e-300)
+        w = BeurlingWeight.one()
+        records = su2nlft.verify._guarded(
+            "quantitative_baxter", "quantitative_inverse_ratio",
+            lambda: su2nlft.verify._baxter_record(F, pair, w, lambda: tiny),
+            w)
+        assert [(r.kind, r.weight) for r in records] == [("error", "one")]
+        assert "beyond the double range" in records[0].detail
+
+    def test_infinite_round_trip_residual_is_an_error_record(self,
+                                                             monkeypatch):
+        def far(*args):
+            return math.inf
+
+        monkeypatch.setattr(su2nlft.verify, "max_abs_difference", far)
+        records = su2nlft.verify._guarded(
+            "round_trip", "round_trip_recovery",
+            lambda: su2nlft.verify.check_round_trip(TWO_POINT,
+                                                    TWO_POINT_PAIR))
+        assert [(r.name, r.kind) for r in records] == [("round_trip", "error")]
+        assert records[0].detail == (
+            "NumericalError: round-trip residual inf is not finite")
+
     def test_failed_ratio_is_resolved_once(self, monkeypatch):
         # b/a* folds on every grid up to 2^18; the LU record repeats the
         # decay record's failure instead of doubling the grid again
